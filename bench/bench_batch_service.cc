@@ -165,12 +165,13 @@ BENCHMARK(BM_BatchWarmCache)
     ->UseRealTime();
 
 // Sharded multi-process audit over the same population: fork
-// `shard_count` workers, route requirements by capability signature,
-// merge. Cold every iteration (each worker builds its own shard's
-// closures), so against BM_BatchColdCache/1 the delta is fork + pipe +
-// merge overhead versus true multi-core fixpoint parallelism. Runs
-// before any persistent pool exists in this process — fork() wants a
-// single-threaded image (the scoped services above are gone by now).
+// `shard_count` TCP workers, route requirements by capability
+// signature, merge. Cold every iteration (each worker builds its own
+// shard's closures), so against BM_BatchColdCache/1 the delta is fork +
+// loopback framing + merge overhead versus true multi-core fixpoint
+// parallelism. Runs before any persistent pool exists in this process —
+// fork() wants a single-threaded image (the scoped services above are
+// gone by now).
 void BM_ShardedBatch(benchmark::State& state) {
   Population population = MakeRolePopulation(kRoles, kUsersPerRole);
   service::ShardOptions options;

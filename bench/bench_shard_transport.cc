@@ -38,6 +38,7 @@
 #include "schema/user.h"
 #include "service/analysis_service.h"
 #include "service/tcp_shard.h"
+#include "snapshot/packed_store.h"
 #include "snapshot/snapshot_store.h"
 
 namespace {
@@ -249,7 +250,9 @@ void BM_TcpSnapshotWarmedFleet(benchmark::State& state) {
   char dir_template[] = "/tmp/oodbsec_bench_transport.XXXXXX";
   const char* dir = ::mkdtemp(dir_template);
   if (dir == nullptr) std::abort();
-  auto store = snapshot::OpenDirectoryStore(dir);
+  auto opened = snapshot::OpenPackedStore(common::StrCat(dir, "/fleet.pack"));
+  if (!opened.ok()) std::abort();
+  std::shared_ptr<snapshot::SnapshotStore> store = std::move(opened).value();
 
   std::vector<service::TcpWorkerOptions> workers(kWorkers);
   for (auto& w : workers) w.persistent_cache = false;

@@ -8,20 +8,21 @@
 // caching (no list is a subset of another, so every list needs its own
 // closure). BM_SnapshotColdBuild pays the full fixpoint for each list;
 // BM_SnapshotWarmStart serves the same lists from a pre-populated
-// snapshot directory, where each closure is rebuilt by replaying its
-// saved derivation log — no joins, no frontier, just bounds-checked
-// union-find replay. The ratio between the two is the restart win the
-// sharded audit banks on (the acceptance floor is 3x).
+// packed store, freshly opened each iteration, where each closure is
+// rebuilt by replaying its saved derivation log in place — no joins,
+// no frontier, just bounds-checked union-find replay. The ratio
+// between the two is the restart win the sharded audit banks on (the
+// acceptance floor is 3x).
 //
-// BM_SnapshotSave prices the write side (serialize + checksum + atomic
-// rename per entry), so the nightly "persist what you built" step can
-// be budgeted against the fixpoints it saves.
+// BM_SnapshotSave prices the write side (serialize + checksum + append
+// and footer rewrite per entry, into a fresh pack), so the nightly
+// "persist what you built" step can be budgeted against the fixpoints
+// it saves.
 //
-// BM_PackedFind / BM_DirectoryFind race the two SnapshotStore
-// implementations on the per-signature lookup (the packed store runs
-// with a one-entry page cache so every find pays the mmap replay, not
-// an LRU hit); BM_PackedSweep / BM_DirectorySweep price the
-// steady-state nightly retention pass over an all-live store.
+// BM_PackedFind prices the per-signature lookup (with a one-entry page
+// cache so every find pays the mmap replay, not an LRU hit);
+// BM_PackedSweep prices the steady-state nightly retention pass over an
+// all-live store.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -108,19 +109,13 @@ const schema::Schema& SharedSchema() {
   return *schema;
 }
 
-// A snapshot directory holding one saved closure per fleet list,
-// populated once and removed at process exit.
-const std::string& PopulatedSnapshotDir() {
+// A temporary directory for the benchmark's packs, removed at process
+// exit.
+const std::string& BenchDir() {
   static const std::string dir = [] {
     char buf[] = "/tmp/oodbsec_bench_snap.XXXXXX";
     const char* path = ::mkdtemp(buf);
     if (path == nullptr) std::abort();
-    core::ClosureCache cache(SharedSchema(), core::ClosureOptions{}, 64,
-                             nullptr, path);
-    for (const auto& roots : FleetLists()) {
-      if (!cache.GetOrBuild(roots).ok()) std::abort();
-    }
-    if (!cache.SaveCacheSnapshot().ok()) std::abort();
     static std::string kept = path;
     std::atexit([] {
       std::error_code ec;
@@ -129,6 +124,28 @@ const std::string& PopulatedSnapshotDir() {
     return kept;
   }();
   return dir;
+}
+
+std::shared_ptr<snapshot::SnapshotStore> OpenPack(const std::string& path,
+                                                  size_t page_capacity = 64) {
+  auto opened = snapshot::OpenPackedStore(path, page_capacity);
+  if (!opened.ok()) std::abort();
+  return std::move(opened).value();
+}
+
+// A pack holding one saved closure per fleet list, populated once.
+const std::string& PopulatedPackFile() {
+  static const std::string pack = [] {
+    std::string path = common::StrCat(BenchDir(), "/fleet.pack");
+    core::ClosureCache cache(SharedSchema(), core::ClosureOptions{}, 64,
+                             nullptr, OpenPack(path));
+    for (const auto& roots : FleetLists()) {
+      if (!cache.GetOrBuild(roots).ok()) std::abort();
+    }
+    if (!cache.SaveCacheSnapshot().ok()) std::abort();
+    return path;
+  }();
+  return pack;
 }
 
 // The restart baseline: every list pays its full cold fixpoint.
@@ -156,12 +173,12 @@ BENCHMARK(BM_SnapshotColdBuild)->Unit(benchmark::kMillisecond);
 // persisted derivation log. Must beat BM_SnapshotColdBuild >= 3x.
 void BM_SnapshotWarmStart(benchmark::State& state) {
   const schema::Schema& schema = SharedSchema();
-  const std::string& dir = PopulatedSnapshotDir();
+  const std::string& pack = PopulatedPackFile();
   const auto lists = FleetLists();
   double facts = 0;
   for (auto _ : state) {
     core::ClosureCache cache(schema, core::ClosureOptions{}, 64, nullptr,
-                             dir);
+                             OpenPack(pack));
     for (const auto& roots : lists) {
       auto entry = cache.GetOrBuild(roots);
       if (!entry.ok()) std::abort();
@@ -180,63 +197,43 @@ void BM_SnapshotWarmStart(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotWarmStart)->Unit(benchmark::kMillisecond);
 
-// Write-side cost: serialize, checksum, and atomically publish every
-// resident entry (the nightly persist step).
+// Write-side cost: serialize, checksum, and append every resident
+// entry to a fresh pack (the nightly persist step; an identical re-save
+// into a live pack would skip the append).
 void BM_SnapshotSave(benchmark::State& state) {
   const schema::Schema& schema = SharedSchema();
-  const std::string& dir = PopulatedSnapshotDir();
-  core::ClosureCache cache(schema, core::ClosureOptions{}, 64, nullptr, dir);
+  const std::string pack = common::StrCat(BenchDir(), "/save.pack");
+  core::ClosureCache cache(schema, core::ClosureOptions{}, 64);
+  std::vector<std::shared_ptr<const core::CachedAnalysis>> entries;
   for (const auto& roots : FleetLists()) {
-    if (!cache.GetOrBuild(roots).ok()) std::abort();
+    auto entry = cache.GetOrBuild(roots);
+    if (!entry.ok()) std::abort();
+    entries.push_back(entry.value());
   }
   for (auto _ : state) {
-    if (!cache.SaveCacheSnapshot().ok()) std::abort();
+    state.PauseTiming();
+    std::error_code ec;
+    std::filesystem::remove(pack, ec);
+    auto store = OpenPack(pack);
+    state.ResumeTiming();
+    for (const auto& entry : entries) {
+      if (!store->Save(schema, core::ClosureOptions{}, *entry).ok()) {
+        std::abort();
+      }
+    }
   }
   state.counters["lists"] = kLists;
 }
 BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond);
 
-// A pack holding the same fleet as PopulatedSnapshotDir, built once by
-// migrating the directory (which also digest-verifies every entry).
-const std::string& PopulatedPackFile() {
-  static const std::string pack = [] {
-    std::string path = common::StrCat(PopulatedSnapshotDir(), "/fleet.pack");
-    auto stats = snapshot::MigrateDirectoryToPack(
-        SharedSchema(), core::ClosureOptions{}, PopulatedSnapshotDir(), path);
-    if (!stats.ok() || stats.value().migrated != kLists) std::abort();
-    return path;
-  }();
-  return pack;
-}
-
-// Per-signature lookup through the directory store: open the snapshot
-// file, validate the header ladder, replay the log.
-void BM_DirectoryFind(benchmark::State& state) {
-  const schema::Schema& schema = SharedSchema();
-  auto store = snapshot::OpenDirectoryStore(PopulatedSnapshotDir());
-  const auto lists = FleetLists();
-  for (auto _ : state) {
-    for (const auto& roots : lists) {
-      auto entry = store->Find(schema, core::ClosureOptions{}, roots);
-      if (!entry.ok() || !entry.value()->closure->warm_started()) std::abort();
-      benchmark::DoNotOptimize(entry.value()->closure.get());
-    }
-  }
-  state.counters["lists"] = kLists;
-}
-BENCHMARK(BM_DirectoryFind)->Unit(benchmark::kMillisecond);
-
-// The same lookup through the packed store. The page cache is sized to
-// one entry while the fleet cycles three signatures, so every find is a
-// cache miss that pays the full in-place mmap replay — the honest
-// apples-to-apples against BM_DirectoryFind (with the default capacity
-// the steady state is an LRU hit and there is nothing left to measure).
+// Per-signature lookup through the packed store. The page cache is
+// sized to one entry while the fleet cycles three signatures, so every
+// find is a cache miss that pays the full in-place mmap replay (with
+// the default capacity the steady state is an LRU hit and there is
+// nothing left to measure).
 void BM_PackedFind(benchmark::State& state) {
   const schema::Schema& schema = SharedSchema();
-  auto opened = snapshot::OpenPackedStore(PopulatedPackFile(),
-                                          /*page_cache_capacity=*/1);
-  if (!opened.ok()) std::abort();
-  auto store = std::move(opened).value();
+  auto store = OpenPack(PopulatedPackFile(), /*page_capacity=*/1);
   const auto lists = FleetLists();
   for (auto _ : state) {
     for (const auto& roots : lists) {
@@ -249,27 +246,10 @@ void BM_PackedFind(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedFind)->Unit(benchmark::kMillisecond);
 
-// Steady-state retention pass over an all-live directory: stat and
-// header-parse every file, remove nothing.
-void BM_DirectorySweep(benchmark::State& state) {
-  auto store = snapshot::OpenDirectoryStore(PopulatedSnapshotDir());
-  const uint64_t live = snapshot::SchemaFingerprint(SharedSchema(),
-                                                    core::ClosureOptions{});
-  for (auto _ : state) {
-    auto swept = store->Sweep(live);
-    if (!swept.ok() || swept.value().records_swept != 0) std::abort();
-    benchmark::DoNotOptimize(swept.value().records_kept);
-  }
-  state.counters["lists"] = kLists;
-}
-BENCHMARK(BM_DirectorySweep)->Unit(benchmark::kMicrosecond);
-
-// The packed equivalent: walk the in-memory index, find nothing stale
-// and no dead bytes, skip compaction.
+// Steady-state retention pass: walk the in-memory index, find nothing
+// stale and no dead bytes, skip compaction.
 void BM_PackedSweep(benchmark::State& state) {
-  auto opened = snapshot::OpenPackedStore(PopulatedPackFile());
-  if (!opened.ok()) std::abort();
-  auto store = std::move(opened).value();
+  auto store = OpenPack(PopulatedPackFile());
   const uint64_t live = snapshot::SchemaFingerprint(SharedSchema(),
                                                     core::ClosureOptions{});
   for (auto _ : state) {

@@ -36,9 +36,11 @@ machines opt the whole bench_check target in without touching CMake.
 An explicit --threshold-pct still wins over the strict default.
 
 The committed baselines and the fresh run must both come from Release
-builds (run_bench_json.sh enforces this) and ideally the same machine —
-across machines the gate still catches gross regressions but the
-threshold has to absorb hardware variance.
+builds (run_bench_json.sh enforces this) and from the same host shape:
+the gate reads google-benchmark's `context.num_cpus` on both sides and
+refuses to compare (exit 2) when they differ or either side lacks it.
+A baseline recorded on another shape has to be re-recorded
+(`bench_record`), not compared.
 """
 
 import argparse
@@ -49,6 +51,12 @@ import statistics
 import sys
 
 STRICT_THRESHOLD_PCT = 10.0
+
+
+def load_num_cpus(path):
+    """Returns the host's CPU count recorded in a report's context, or None."""
+    with open(path) as fp:
+        return json.load(fp).get("context", {}).get("num_cpus")
 
 
 def load_results(path):
@@ -164,6 +172,15 @@ def main():
         if not fresh_path.exists():
             print(f"== {baseline_path.name}: no fresh run at {fresh_path}, skipped")
             continue
+        base_cpus = load_num_cpus(baseline_path)
+        fresh_cpus = load_num_cpus(fresh_path)
+        if base_cpus is None or fresh_cpus is None or base_cpus != fresh_cpus:
+            print(
+                f"error: {baseline_path.name}: host shape differs "
+                f"(baseline num_cpus={base_cpus}, fresh num_cpus={fresh_cpus});"
+                " re-record the baseline on this host with bench_record"
+            )
+            return 2
         all_regressions += compare(
             baseline_path.name,
             load_results(baseline_path),

@@ -9,20 +9,20 @@
 // then double-checks itself against the sequential analyzer.
 //
 // The same sheet then runs through the sharded multi-process path
-// (service/shard.h): four forked workers, requirements routed by
+// (service/shard.h): four forked TCP workers, requirements routed by
 // capability signature, reports merged byte-identical to the
 // single-process batch. The first sharded run persists every closure
-// it builds into a packed snapshot store (one segment file; workers
-// append to private side segments the coordinator merges). Then the
-// fleet is "killed": the store object is dropped and the pack reopened
-// cold, and a second sharded run rebuilds nothing — every signature
-// replays from the segment via mmap.
+// it builds into a packed snapshot store (one segment file; the
+// workers save through the coordinator's store server, its single
+// writer). Then the fleet is "killed": the store object is dropped and
+// the pack reopened cold, and a second sharded run rebuilds nothing —
+// every signature replays from the segment.
 //
 // With --transport=tcp the audit goes one step further: after the fork
 // passes (which need the single-threaded image) a loopback TCP fleet is
-// started — worker threads with no local state — and the coordinator
-// streams the same sheet over sockets while serving its packed store
-// over the wire. The workers warm entirely from the networked snapshot
+// started in-process — worker threads with no local state — and the
+// coordinator streams the same sheet over sockets while serving its
+// packed store over the wire. The workers warm entirely from the networked snapshot
 // tier (three remote hits, zero builds) and the merged report is
 // asserted byte-identical to fork, batch, and the sequential analyzer.
 //
@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
   // thread pool exists yet. The workers persist what they build into a
   // fresh packed snapshot store for the restart demo below.
   char dir_template[] = "/tmp/oodbsec_fleet_snap.XXXXXX";
-  const char* snapshot_dir = ::mkdtemp(dir_template);
-  if (snapshot_dir == nullptr) std::abort();
-  const std::string pack_path = common::StrCat(snapshot_dir, "/fleet.pack");
+  const char* store_dir = ::mkdtemp(dir_template);
+  if (store_dir == nullptr) std::abort();
+  const std::string pack_path = common::StrCat(store_dir, "/fleet.pack");
   auto store = snapshot::OpenPackedStore(pack_path);
   if (!store.ok()) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
@@ -346,6 +346,6 @@ int main(int argc, char** argv) {
   }
 
   std::error_code ec;
-  std::filesystem::remove_all(snapshot_dir, ec);
+  std::filesystem::remove_all(store_dir, ec);
   return 0;
 }

@@ -15,21 +15,18 @@
 //   revoke <user> <function>   revoke one; DRed-shrinks the cached closure
 //   recheck                    re-audit every requirement incrementally
 //   batch [threads]            same, through the caching batch service
-//   shard [shards] [threads]   same, forked across worker processes
+//   shard [shards]             same, forked across worker processes
 //   shard tcp <host:port>...   same, streamed to TCP workers (started
 //                              with `serve`), pipelined by signature
 //   serve <port>               become a shard worker: serve batches on
 //                              <port> until the process is killed
 //   fixpoint [threads]         parallel closure fixpoint (0 = auto,
 //                              1 = sequential; prints current if omitted)
-//   snapshot dir <path>        arm the tier over a snapshot directory
-//   snapshot pack <path>       arm it over a packed segment file
+//   snapshot pack <path>       arm the tier over a packed segment file
 //   snapshot save              persist cached closures to the store
 //   snapshot load              warm the cache from the store
 //   snapshot stats             store utilisation (live vs stale bytes)
 //   snapshot compact           sweep stale generations from the store
-//   snapshot migrate <dir> <packfile>
-//                              fold a snapshot directory into a pack
 //   explain <n>                derivation for requirement n's first flaw
 //   trace on|off               arm / disarm the session tracer
 //   trace dump [file]          render spans + metrics (file: JSON lines)
@@ -119,9 +116,7 @@ class Shell {
         ShardTcp(addresses);
       } else {
         int shards = std::atoi(first.c_str());
-        int threads = 0;
-        in >> threads;
-        Shard(shards > 0 ? shards : 4, threads > 0 ? threads : 1);
+        Shard(shards > 0 ? shards : 4);
       }
     } else if (command == "fixpoint") {
       int threads = -1;
@@ -135,9 +130,8 @@ class Shell {
       std::string subcommand;
       in >> subcommand;
       std::string path;
-      std::string second;
-      in >> path >> second;  // migrate takes two operands; rest take <= 1
-      Snapshot(subcommand, path, second);
+      in >> path;
+      Snapshot(subcommand, path);
     } else if (command == "explain") {
       size_t index = 0;
       in >> index;
@@ -180,7 +174,7 @@ class Shell {
         "  batch [threads]                 same, through the batch service\n"
         "                                  (shared-closure cache, default 4"
         " threads)\n"
-        "  shard [shards] [threads]        same, forked across worker\n"
+        "  shard [shards]                  same, forked across worker\n"
         "                                  processes (default 4 shards)\n"
         "  shard tcp <host:port> ...       same, streamed to TCP workers\n"
         "                                  (started with 'serve')\n"
@@ -190,15 +184,12 @@ class Shell {
         "                                  1 = sequential; prints current"
         " when\n"
         "                                  omitted)\n"
-        "  snapshot dir <path>             arm the tier over a snapshot"
-        " directory\n"
-        "  snapshot pack <path>            arm it over a packed segment"
-        " file\n"
+        "  snapshot pack <path>            arm the tier over a packed"
+        " segment file\n"
         "  snapshot save                   persist cached closures\n"
         "  snapshot load                   warm the cache from the store\n"
         "  snapshot stats                  store utilisation\n"
         "  snapshot compact                sweep stale generations\n"
-        "  snapshot migrate <dir> <pack>   fold a directory into a pack\n"
         "  dump                            re-render the workspace file\n"
         "  explain <n>                     derivation for requirement n\n"
         "  trace on|off                    arm / disarm the session tracer\n"
@@ -347,53 +338,33 @@ class Shell {
   }
 
   // Like Batch(), but forked across worker processes (service/shard.h):
-  // requirements are routed by capability signature, each worker runs a
-  // private service over its subset, and the merged report is
-  // byte-identical to single-process CheckBatch. Uses the armed
-  // snapshot store (if any) as the workers' shared L2, and saves what
-  // the workers built back into it.
-  void Shard(int shards, int threads) {
+  // requirements are routed by capability signature and the merged
+  // report is byte-identical to single-process CheckBatch. The armed
+  // snapshot store (if any) is served to the workers as their shared
+  // L2, and what they build is saved back into it.
+  void Shard(int shards) {
     // fork() wants a single-threaded image: retire the in-process
-    // service's pool first (workers build their own pools post-fork).
+    // service's pool first.
     service_.reset();
     service::ShardOptions options;
     options.shard_count = shards;
-    options.threads = threads;
     options.closure = session_->closure_options();
     options.snapshot_store = store_;
     options.save_snapshots = store_ != nullptr;
-    auto sharded = service::RunShardedBatch(
-        *workspace_.schema, *workspace_.users, workspace_.requirements,
-        options, &session_->obs());
-    if (!sharded.ok()) {
-      std::printf("error: %s\n", sharded.status().ToString().c_str());
-      return;
-    }
-    last_reports_ = std::move(sharded.value().reports);
-    for (size_t i = 0; i < last_reports_.size(); ++i) {
-      std::printf("[%zu] %s", i, last_reports_[i].ToString().c_str());
-    }
-    const service::ServiceStats& stats = sharded.value().merged_stats;
-    std::printf(
-        "(%d shard(s) x %d thread(s): %zu check(s), %zu closure(s) built, "
-        "%zu signature hit(s), %zu requirement hit(s), "
-        "%zu snapshot hit(s))\n",
-        shards, threads, stats.checks, stats.closures_built,
-        stats.signature_hits, stats.requirement_hits, stats.snapshot_hits);
+    std::vector<std::string> workers;
     for (int s = 0; s < shards; ++s) {
-      std::printf("  shard %d: %zu requirement(s), %zu closure(s) built, "
-                  "%zu snapshot hit(s)\n",
-                  s, sharded.value().shard_requirements[s],
-                  sharded.value().shard_stats[s].closures_built,
-                  sharded.value().shard_stats[s].snapshot_hits);
+      workers.push_back(common::StrCat("shard ", s));
     }
+    PrintSharded(service::RunShardedBatch(*workspace_.schema,
+                                          *workspace_.users,
+                                          workspace_.requirements, options,
+                                          &session_->obs()),
+                 workers);
   }
 
   // Like Shard(), but streamed to already-running TCP workers
-  // (service/tcp_shard.h): signature-coalesced batches pipeline over
-  // persistent connections, and the armed snapshot store (if any) is
-  // served to the workers over the same wire as a remote L2 tier. The
-  // merged report stays byte-identical to `batch` and `shard`.
+  // (service/tcp_shard.h) — the same transport over a fleet started
+  // elsewhere with `serve`.
   void ShardTcp(const std::vector<std::string>& addresses) {
     if (addresses.empty()) {
       std::printf("usage: shard tcp <host:port> [<host:port> ...]\n");
@@ -405,9 +376,13 @@ class Shell {
     options.snapshot_store = store_;
     options.save_snapshots = store_ != nullptr;
     service::TcpTransport transport(options);
-    auto sharded =
-        transport.Run(*workspace_.schema, *workspace_.users,
-                      workspace_.requirements, &session_->obs());
+    PrintSharded(transport.Run(*workspace_.schema, *workspace_.users,
+                               workspace_.requirements, &session_->obs()),
+                 addresses);
+  }
+
+  void PrintSharded(common::Result<service::ShardedBatchResult> sharded,
+                    const std::vector<std::string>& workers) {
     if (!sharded.ok()) {
       std::printf("error: %s\n", sharded.status().ToString().c_str());
       return;
@@ -418,17 +393,16 @@ class Shell {
     }
     const service::ServiceStats& stats = sharded.value().merged_stats;
     std::printf(
-        "(%zu tcp worker(s): %zu check(s), %zu closure(s) built, "
+        "(%zu worker(s): %zu check(s), %zu closure(s) built, "
         "%zu signature hit(s), %zu snapshot hit(s))\n",
-        addresses.size(), stats.checks, stats.closures_built,
+        workers.size(), stats.checks, stats.closures_built,
         stats.signature_hits, stats.snapshot_hits);
-    for (size_t s = 0; s < addresses.size(); ++s) {
+    for (size_t w = 0; w < workers.size(); ++w) {
       std::printf("  %s: %zu requirement(s), %zu closure(s) built, "
                   "%zu snapshot hit(s)\n",
-                  addresses[s].c_str(),
-                  sharded.value().shard_requirements[s],
-                  sharded.value().shard_stats[s].closures_built,
-                  sharded.value().shard_stats[s].snapshot_hits);
+                  workers[w].c_str(), sharded.value().shard_requirements[w],
+                  sharded.value().shard_stats[w].closures_built,
+                  sharded.value().shard_stats[w].snapshot_hits);
     }
   }
 
@@ -509,16 +483,7 @@ class Shell {
                 store_->Stats().description.c_str());
   }
 
-  void Snapshot(const std::string& subcommand, const std::string& path,
-                const std::string& second) {
-    if (subcommand == "dir") {
-      if (path.empty()) {
-        std::printf("usage: snapshot dir <path>\n");
-        return;
-      }
-      ArmStore(snapshot::OpenDirectoryStore(path));
-      return;
-    }
+  void Snapshot(const std::string& subcommand, const std::string& path) {
     if (subcommand == "pack") {
       if (path.empty()) {
         std::printf("usage: snapshot pack <path>\n");
@@ -532,36 +497,14 @@ class Shell {
       ArmStore(std::move(store).value());
       return;
     }
-    if (subcommand == "migrate") {
-      if (path.empty() || second.empty()) {
-        std::printf("usage: snapshot migrate <dir> <packfile>\n");
-        return;
-      }
-      auto migrated = snapshot::MigrateDirectoryToPack(
-          *workspace_.schema, session_->closure_options(), path, second,
-          &session_->obs());
-      if (!migrated.ok()) {
-        std::printf("error: %s\n", migrated.status().ToString().c_str());
-        return;
-      }
-      std::printf(
-          "migrated %zu snapshot(s) from %s into %s (%zu invalid"
-          " skipped; every entry digest-verified)\n",
-          migrated.value().migrated, path.c_str(), second.c_str(),
-          migrated.value().invalid);
-      return;
-    }
     if (subcommand != "save" && subcommand != "load" &&
         subcommand != "stats" && subcommand != "compact") {
       std::printf(
-          "usage: snapshot dir <path> | pack <path> | save | load |"
-          " stats | compact | migrate <dir> <packfile>\n");
+          "usage: snapshot pack <path> | save | load | stats | compact\n");
       return;
     }
     if (store_ == nullptr) {
-      std::printf(
-          "no snapshot store ('snapshot dir <path>' or"
-          " 'snapshot pack <path>' first)\n");
+      std::printf("no snapshot store ('snapshot pack <path>' first)\n");
       return;
     }
     if (subcommand == "stats") {
@@ -659,9 +602,7 @@ class Shell {
       return;
     }
     if (store_ == nullptr) {
-      std::printf(
-          "no snapshot store ('snapshot dir <path>' or"
-          " 'snapshot pack <path>' first)\n");
+      std::printf("no snapshot store ('snapshot pack <path>' first)\n");
       return;
     }
     if (subcommand == "save") {

@@ -124,30 +124,6 @@ Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
 }
 
 Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
-                 obs::Observability* obs, const ReplayLog& log)
-    : set_(&set), options_(options), obs_(obs) {
-  obs::Tracer* tracer = obs_ != nullptr ? &obs_->tracer : nullptr;
-  obs::ScopedSpan closure_span(tracer, "closure");
-  InitTables();
-  {
-    obs::ScopedSpan replay_span(tracer, "closure.snapshot.replay");
-    ReplaySteps(log.steps, log.premise_arena, /*old_to_new=*/nullptr);
-    warm_started_ = true;
-  }
-  // A complete log already contains every axiom and every fixpoint
-  // conclusion, so the seed pass and the (empty-frontier) run below only
-  // dedup — they exist to make a *partial or stale* log merely slow
-  // instead of wrong, and they keep the derivation log byte-identical to
-  // the saved one in the complete case (dedup appends nothing).
-  {
-    obs::ScopedSpan seed_span(tracer, "closure.seed");
-    Seed();
-  }
-  Run();
-  FlushMetrics();
-}
-
-Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
                  obs::Observability* obs, const ReplayView& view)
     : set_(&set), options_(options), obs_(obs) {
   obs::Tracer* tracer = obs_ != nullptr ? &obs_->tracer : nullptr;
@@ -158,9 +134,11 @@ Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
     ReplayPackedSteps(view);
     warm_started_ = true;
   }
-  // Same complete-log contract as the ReplayLog constructor above: the
-  // seed and run only dedup when the log is complete, and make a stale
-  // log slow instead of wrong otherwise.
+  // A complete log already contains every axiom and every fixpoint
+  // conclusion, so the seed pass and the (empty-frontier) run below only
+  // dedup — they exist to make a *partial or stale* log merely slow
+  // instead of wrong, and they keep the derivation log byte-identical to
+  // the saved one in the complete case (dedup appends nothing).
   {
     obs::ScopedSpan seed_span(tracer, "closure.seed");
     Seed();
@@ -309,29 +287,20 @@ bool Closure::ComputeWarmMap(const Closure& base,
 
 void Closure::ReplayBase(const Closure& base,
                          const std::vector<int>& old_to_new) {
-  ReplaySteps(base.steps_, base.premise_arena_, &old_to_new);
-}
-
-void Closure::ReplaySteps(std::span<const DerivationStep> steps,
-                          std::span<const FactId> arena,
-                          const std::vector<int>* old_to_new) {
-  replayed_facts_ = steps.size();
-  steps_.reserve(steps.size() + steps.size() / 4);
+  replayed_facts_ = base.steps_.size();
+  steps_.reserve(base.steps_.size() + base.steps_.size() / 4);
   fact_of_.reserve(steps_.capacity());
-  premise_arena_.reserve(arena.size());
-  for (const DerivationStep& bstep : steps) {
+  premise_arena_.reserve(base.premise_arena_.size());
+  for (const DerivationStep& bstep : base.steps_) {
     // Translate the fact into this set's id space. Origin nums are
     // occurrence ids too (0 marks observation/equality axioms and maps
-    // to itself). The snapshot path replays into an unfold over the
-    // same roots, where the id spaces already coincide.
+    // to itself).
     Fact fact = bstep.fact;
-    if (old_to_new != nullptr) {
-      fact.a = (*old_to_new)[fact.a];
-      if (fact.kind == Fact::Kind::kPiStar || fact.kind == Fact::Kind::kEq) {
-        fact.b = (*old_to_new)[fact.b];
-      }
-      fact.origin.num = (*old_to_new)[fact.origin.num];
+    fact.a = old_to_new[fact.a];
+    if (fact.kind == Fact::Kind::kPiStar || fact.kind == Fact::Kind::kEq) {
+      fact.b = old_to_new[fact.b];
     }
+    fact.origin.num = old_to_new[fact.origin.num];
     // Append the step verbatim. Every base step becomes exactly one
     // replayed step, so premise FactIds keep their values and are
     // copied raw. Rule labels have static storage — nothing borrows
@@ -342,7 +311,7 @@ void Closure::ReplaySteps(std::span<const DerivationStep> steps,
     step.rule = bstep.rule;
     step.premise_offset = static_cast<uint32_t>(premise_arena_.size());
     step.premise_count = bstep.premise_count;
-    const FactId* src = arena.data() + bstep.premise_offset;
+    const FactId* src = base.premise_arena_.data() + bstep.premise_offset;
     premise_arena_.insert(premise_arena_.end(), src,
                           src + bstep.premise_count);
     steps_.push_back(step);
@@ -612,7 +581,7 @@ Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
 void Closure::ReplaySurvivors(const Closure& base,
                               const std::vector<int>& old_to_new,
                               const std::vector<char>& deleted) {
-  // Like ReplaySteps, but survivors compact: premise FactIds shift, so
+  // Like ReplayBase, but survivors compact: premise FactIds shift, so
   // each is remapped through the old-index -> new-index table (always
   // already filled — a survivor's premises are survivors).
   std::vector<FactId> remap(base.steps_.size(), kNoFact);

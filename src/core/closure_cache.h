@@ -32,8 +32,9 @@
 // callers that promise byte-identical derivation text must build cold.
 //
 // Snapshot tier (L2): when constructed with a snapshot::SnapshotStore,
-// the cache persists entries through it (a packed segment file or a
-// snapshot directory — see snapshot/snapshot_store.h) and consults it
+// the cache persists entries through it (a packed segment file, or the
+// coordinator's store over the wire — see snapshot/snapshot_store.h)
+// and consults it
 // between the exact-hit check and the build path:
 //
 //   exact hit (L1) → store probe (L2) → warm/cold build
@@ -43,9 +44,10 @@
 // inserted into L1 so the process pays the decode once. Invalid
 // records (truncated, wrong schema fingerprint, wrong format version,
 // corrupt) are counted and fall back to a build; they are never an
-// error. Several caches and processes may share one store: writes are
-// atomic and loads validate before trusting, so the store doubles as
-// the cross-process cache the sharded audit workers warm from.
+// error. Several caches may share one store, and shard workers reach
+// the coordinator's through a StoreServer: loads validate before
+// trusting, so the store doubles as the cross-process cache the shard
+// workers warm from.
 //
 // Thread-safety: like the service layer, the cache is a single-caller
 // object — Find*/GetOrBuild/Insert must not race. BuildDetached is the
@@ -98,13 +100,13 @@ class ClosureCache {
     // retract path and RetractEntry's revoke fast path).
     uint64_t retract_builds = 0;
     uint64_t evictions = 0;
-    // L2 accounting, all zero when no snapshot directory is configured.
+    // L2 accounting, all zero when no snapshot store is configured.
     // snapshot_hits counts closures served by replaying a persisted
     // derivation log — distinct from warm_builds, which replay another
     // *in-memory* entry and still run a delta fixpoint.
     uint64_t snapshot_hits = 0;
-    uint64_t snapshot_misses = 0;   // probes with no snapshot file
-    uint64_t snapshot_invalid = 0;  // files rejected by validation
+    uint64_t snapshot_misses = 0;   // probes with no stored record
+    uint64_t snapshot_invalid = 0;  // records rejected by validation
   };
 
   // `schema` must outlive the cache. `obs` (optional) receives the
@@ -112,16 +114,9 @@ class ClosureCache {
   // A non-null `store` arms the L2 tier (see the header comment); the
   // store may be shared with other caches and sessions.
   ClosureCache(const schema::Schema& schema, ClosureOptions options,
-               size_t capacity, obs::Observability* obs,
-               std::shared_ptr<snapshot::SnapshotStore> store);
-
-  // Deprecated shim: a non-empty `snapshot_dir` constructs a
-  // DirectoryStore over it (the pre-store spelling of the L2 tier).
-  // New call sites should build a store and pass it above.
-  ClosureCache(const schema::Schema& schema, ClosureOptions options,
                size_t capacity = kDefaultCapacity,
                obs::Observability* obs = nullptr,
-               std::string snapshot_dir = {});
+               std::shared_ptr<snapshot::SnapshotStore> store = nullptr);
 
   ClosureCache(const ClosureCache&) = delete;
   ClosureCache& operator=(const ClosureCache&) = delete;
@@ -183,13 +178,13 @@ class ClosureCache {
 
   // L2 probe: loads the snapshot persisted for `roots`, if any, and
   // counts a snapshot hit / miss / invalid. Does NOT insert into L1
-  // (GetOrBuild does). nullptr when the tier is disabled, the file is
-  // absent, or validation rejected it.
+  // (GetOrBuild does). nullptr when the tier is disabled, the record
+  // is absent, or validation rejected it.
   std::shared_ptr<const CachedAnalysis> FindSnapshot(
       const std::vector<std::string>& roots);
 
-  // Persists one entry to the snapshot directory (atomic write).
-  // kFailedPrecondition when no snapshot directory is configured.
+  // Persists one entry to the snapshot store.
+  // kFailedPrecondition when no snapshot store is configured.
   common::Status SaveCacheSnapshot(const CachedAnalysis& entry) const;
 
   // Persists every resident L1 entry, least-recently-used last so a
@@ -197,8 +192,8 @@ class ClosureCache {
   // the first write error, after attempting every entry.
   common::Status SaveCacheSnapshot() const;
 
-  // Bulk warm start: loads every valid snapshot in the directory into
-  // L1 (up to capacity) and returns how many were loaded. Invalid files
+  // Bulk warm start: loads every valid record in the store into L1
+  // (up to capacity) and returns how many were loaded. Invalid records
   // are counted and skipped. 0 when the tier is disabled.
   size_t LoadCacheSnapshot();
 

@@ -35,8 +35,9 @@ SessionGuard::SessionGuard(const schema::Schema& schema,
                            const schema::UserRegistry& users,
                            std::vector<core::Requirement> requirements,
                            core::ClosureOptions options)
-    : SessionGuard(schema, users, std::move(requirements),
-                   GuardOptions{.closure = options}) {}
+    : SessionGuard(
+          schema, users, std::move(requirements),
+          GuardOptions{.closure = options, .snapshot_store = nullptr}) {}
 
 SessionGuard::SessionGuard(const schema::Schema& schema,
                            const schema::UserRegistry& users,

@@ -6,15 +6,12 @@
 //   u32 magic "ONF1" | u8 type | u8 pad[3] | u32 payload length
 //   | u64 payload checksum (FNV-1a)
 //
-// Integers are host-endian, like every other wire the repository owns
-// (the fork shard pipes, the snapshot header): a connection between
-// machines of different endianness is *detected* at the hello handshake
-// (each side sends snapshot::kByteOrderMark) and refused with a specific
-// diagnosis rather than mis-decoded. The one payload that legitimately
-// crosses endianness — a directory-format snapshot record inside a
-// store frame — carries its own byte-order marker and swap-decodes
-// itself (snapshot/snapshot.h, v2), so a heterogeneous fleet shares the
-// snapshot *tier* even though shard peers must match.
+// Integers are host-endian, like every other encoding the repository
+// owns (snapshot records included): a connection between machines of
+// different endianness is *detected* at the hello handshake (each side
+// sends snapshot::kByteOrderMark) and refused with a specific diagnosis
+// rather than mis-decoded. The snapshot record inside a store frame
+// carries its own marker and is refused the same way.
 //
 // Robustness contract (the torn-frame / garbage-prefix tests in
 // net_test pin this): a reader never trusts a byte it has not
@@ -42,8 +39,8 @@ namespace oodbsec::net {
 
 // Protocol version spoken by TcpTransport / ServeShardWorker /
 // StoreServer; carried in every hello and bumped on any frame-layout or
-// payload-schema change.
-inline constexpr uint32_t kProtocolVersion = 1;
+// payload-schema change. v2: store frames carry v3 snapshot records.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 inline constexpr uint32_t kFrameMagic = 0x314f4e46;  // "FNO1" LE spells ONF1
 // Upper bound a reader will allocate for one payload; a length above it

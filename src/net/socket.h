@@ -11,8 +11,8 @@
 //     <= 0 means wait forever (the worker's accept loop uses a short
 //     timeout so its stop flag is honoured).
 //   * Short-op discipline. The *FullTimeout helpers loop over partial
-//     reads/writes and EINTR exactly like snapshot/binio.h's ReadFull/
-//     WriteFull, plus the poll bound. WritevFullTimeout is the gather
+//     reads/writes and EINTR under the poll bound — stream fds deliver
+//     short transfers routinely. WritevFullTimeout is the gather
 //     path: frame header and payload go out in one writev from their
 //     own buffers, so a frame is never re-copied into a combined
 //     buffer just to be sent.

@@ -1,48 +1,49 @@
-// Sharded multi-process audit: fan a requirement batch out over N
-// worker processes, merge their reports back deterministically.
+// Sharded multi-process audit on one machine: fork N workers, fan a
+// requirement batch out over them, merge their reports back
+// deterministically.
 //
 // The paper's A(R) is per-user, so a population-scale audit partitions
 // perfectly: no fact ever flows between two users' closures. The unit
-// of partitioning here is the *capability signature* (the service's
-// cache key, capability_signature.h), not the user — all requirements
-// whose users share a grant bundle land on the same worker, so each
-// distinct fixpoint is computed exactly once across the whole fleet,
-// and the partition is a pure function of the signature string:
+// of partitioning is the *capability signature* (the service's cache
+// key, capability_signature.h), not the user — all requirements whose
+// users share a grant bundle land on the same worker, so each distinct
+// fixpoint is computed exactly once across the whole fleet, and the
+// partition is a pure function of the signature string (ShardOf).
 //
-//   shard(signature) = FNV-1a64(signature) mod shard_count
+// The fork transport is the TCP transport (service/tcp_shard.h) with a
+// fleet of forked children: RunShardedBatch binds shard_count loopback
+// listeners, forks one child per listener that runs ServeShardWorker
+// over the inherited schema (copy-on-write, no re-parsing), and drives
+// them with a per-run TcpTransport. One transport means one wire, one
+// worker loop, and one recovery story: a child that dies mid-audit has
+// its batches re-queued to the survivors like any TCP worker's, and the
+// audit fails only when every child died. Children hold no store of
+// their own; when a snapshot store is configured they mount it through
+// the transport's StoreServer, which is the store's single writer — a
+// fleet restart replays persisted derivation logs instead of re-running
+// fixpoints, and with save_snapshots set, workers persist what they
+// built, warming the next run.
 //
-// Workers are forked from the coordinator, run a private
-// AnalysisService over their requirement subset, and stream their
-// reports and ServiceStats back over a pipe (snapshot/binio format).
-// When a shared snapshot store is configured, every worker mounts a
-// fork of it (SnapshotStore::ForkWorker) as the L2 tier behind its
-// in-memory L1 cache, so a fleet restart replays persisted derivation
-// logs instead of re-running fixpoints — and with save_snapshots set,
-// workers persist what they built (a packed store's workers append to
-// private side segments the coordinator merges back afterwards),
-// warming the next run.
-//
-// Determinism contract: RunShardedBatch over fresh caches produces
-// reports byte-identical to a fresh single-process
-// AnalysisService::CheckBatch over the same requirements — same input
-// order, same verdicts, flaw sites, fact counts, and derivation text —
-// for any shard_count and any thread count. (Both sides build every
-// distinct signature cold within the batch; a snapshot-seeded run is
-// also byte-identical because a loaded snapshot replays the saved
-// cold log bit for bit.) On failure the error is the one the earliest
-// failing requirement in input order would have produced, exactly as
+// Determinism contract: RunShardedBatch produces reports byte-identical
+// to a fresh single-process AnalysisService::CheckBatch over the same
+// requirements — same input order, same verdicts, flaw sites, fact
+// counts, and derivation text — for any shard_count (workers build
+// misses cold, and a loaded snapshot replays the saved cold log bit for
+// bit). On failure the error is the one the earliest failing
+// requirement in input order would have produced, exactly as
 // CheckBatch reports it.
 //
-// Coordinator caveat: fork() is only safe from a single-threaded
-// process image. Call RunShardedBatch before spinning up thread pools
-// (the coordinator itself creates none; workers create theirs after
-// the fork).
+// Lifecycle: every child is killed and reaped, and the store server
+// stopped, before RunShardedBatch returns — on every path — so the
+// caller is single-threaded again afterwards. Children also die with
+// the coordinator (PR_SET_PDEATHSIG). fork() is only safe from a
+// single-threaded process image: call RunShardedBatch before spinning
+// up thread pools.
 #ifndef OODBSEC_SERVICE_SHARD_H_
 #define OODBSEC_SERVICE_SHARD_H_
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -55,28 +56,25 @@
 #include "schema/schema.h"
 #include "schema/user.h"
 #include "service/analysis_service.h"
+#include "snapshot/snapshot_store.h"
 
 namespace oodbsec::service {
 
 struct ShardOptions {
   // Worker processes to fork. 1 still forks (uniform code path).
   int shard_count = 4;
-  // Worker threads *per shard process* (each worker's pool width).
+  // Threads per worker process. Each worker serves its batches on one
+  // thread; any value but 1 is InvalidArgument.
   int threads = 1;
-  // Fixpoint semantics, forwarded to every worker's session.
+  // Fixpoint semantics, forwarded to every worker.
   // closure.closure_threads parallelises each fixpoint inside a worker
   // (reports stay byte-identical; it is not part of any cache key).
   core::ClosureOptions closure;
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
-  // Deprecated shim: a non-empty directory opens a DirectoryStore when
-  // `snapshot_store` is null.
-  std::string snapshot_dir;
-  // Workers persist every closure they built to the snapshot store
-  // before exiting (atomic directory writes race benignly; packed
-  // workers append to private side segments, merged after the drain).
+  // Workers persist every closure they build through the store server.
   bool save_snapshots = false;
-  // Shared snapshot store every worker mounts (via ForkWorker) as its
-  // L2 closure tier (see snapshot/snapshot_store.h).
+  // The coordinator's snapshot store, served to every worker as its L2
+  // closure tier (see snapshot/snapshot_store.h).
   std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
 };
 
@@ -84,12 +82,13 @@ struct ShardedBatchResult {
   // Input order, byte-identical to single-process CheckBatch (see the
   // determinism contract above).
   std::vector<core::AnalysisReport> reports;
-  // Element-wise sum of the workers' ServiceStats.
+  // Element-wise sum of the workers' ServiceStats. Best-effort when a
+  // worker died: its counters never arrive; the reports are the
+  // contract.
   ServiceStats merged_stats;
-  // Indexed by shard id; shards with no requirements report zeros.
+  // Indexed by worker; workers with no requirements report zeros.
   std::vector<ServiceStats> shard_stats;
-  // Requirements routed to each shard (sums to the batch size minus
-  // none — every requirement is routed).
+  // Requirements each worker answered.
   std::vector<size_t> shard_requirements;
 };
 
@@ -98,45 +97,28 @@ struct ShardedBatchResult {
 // across processes, runs, and machines.
 int ShardOf(std::string_view signature, int shard_count);
 
-// Partitions `requirements` by capability signature, forks
-// options.shard_count workers, runs each worker's subset through a
-// private AnalysisService, and merges. `obs` (optional, coordinator
-// side) gets a "shard.batch" span with one "shard.wait" child per
-// worker plus "shard.*" routing counters; worker-side spans stay in
-// the workers (their metrics come back inside ServiceStats).
+// Forks options.shard_count workers, audits `requirements` on them
+// through a per-run TcpTransport, and reaps them. `obs` (optional,
+// coordinator side) gets the transport's "tcp.batch" span and its
+// "shard.*" / "net.*" counters.
 common::Result<ShardedBatchResult> RunShardedBatch(
     const schema::Schema& schema, const schema::UserRegistry& users,
     const std::vector<core::Requirement>& requirements,
     const ShardOptions& options, obs::Observability* obs = nullptr);
 
-// The transport seam: one interface over the fork engine (this file)
-// and the TCP engine (service/tcp_shard.h), so audit drivers pick a
-// process model without changing any audit code. Every implementation
-// owes the same determinism contract as RunShardedBatch — reports
-// byte-identical to single-process CheckBatch, earliest-failure error
-// parity — which is what the transport parity tests pin.
-class ShardTransport {
- public:
-  virtual ~ShardTransport() = default;
-  // Short label for logs and bench output ("fork", "tcp").
-  virtual std::string_view name() const = 0;
-  virtual common::Result<ShardedBatchResult> Run(
-      const schema::Schema& schema, const schema::UserRegistry& users,
-      const std::vector<core::Requirement>& requirements,
-      obs::Observability* obs) = 0;
-};
-
-// RunShardedBatch behind the seam. Carries the fork() caveat above:
-// Run() must be called from a single-threaded process image.
-class ForkTransport : public ShardTransport {
+// RunShardedBatch with its options bound, the process-model twin of
+// TcpTransport for audit code that picks a transport by name. Carries
+// the fork() caveat above: Run() must be called from a single-threaded
+// process image.
+class ForkTransport {
  public:
   explicit ForkTransport(ShardOptions options)
       : options_(std::move(options)) {}
-  std::string_view name() const override { return "fork"; }
+  std::string_view name() const { return "fork"; }
   common::Result<ShardedBatchResult> Run(
       const schema::Schema& schema, const schema::UserRegistry& users,
       const std::vector<core::Requirement>& requirements,
-      obs::Observability* obs) override {
+      obs::Observability* obs) {
     return RunShardedBatch(schema, users, requirements, options_, obs);
   }
 

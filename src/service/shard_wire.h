@@ -1,12 +1,10 @@
-// The report/stats wire codec shared by every shard transport.
+// The report/stats wire codec of the shard transport.
 //
-// Fork pipes (service/shard.cc) and TCP frames (service/tcp_shard.cc)
-// carry the same payloads: analysis reports tagged with their global
-// input index, and ServiceStats totals. The byte-identity contract —
-// fork == tcp == single-process CheckBatch — is easiest to keep honest
-// when there is exactly one code path producing and parsing those
-// bytes, so both transports call these helpers instead of hand-rolling
-// the field order twice.
+// kReports and kStats frames (service/tcp_shard.cc) carry analysis
+// reports tagged with their global input index, and ServiceStats
+// totals. The byte-identity contract — fork == tcp == single-process
+// CheckBatch — rests on this one code path producing and parsing
+// those bytes.
 //
 // Layout (snapshot/binio primitives, host-endian like the rest of the
 // repository's wires):

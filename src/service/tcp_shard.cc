@@ -366,8 +366,8 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
 
   // Plan: resolve every requirement to roots, coalesce by signature
   // (first-appearance order), chunk at the cap. Unknown users become
-  // failure candidates at their input position, exactly as the fork
-  // path and CheckBatch surface them.
+  // failure candidates at their input position, exactly as CheckBatch
+  // surfaces them.
   std::vector<Batch> batches;
   std::vector<size_t> batch_target;  // initial worker index per batch
   std::optional<Failure> failure;
@@ -789,8 +789,7 @@ struct WorkerAudit {
 // retraction, so the derivation log — and with it every report byte —
 // matches what a fresh single-process CheckBatch would have produced,
 // regardless of routing, requeues, or what this worker built before.
-common::Status ProcessBatch(const schema::Schema& schema,
-                            std::string_view payload, WorkerAudit& audit,
+common::Status ProcessBatch(std::string_view payload, WorkerAudit& audit,
                             FrameType* reply_type, std::string* reply) {
   ByteReader r(payload);
   const uint32_t batch_id = r.GetU32();
@@ -843,8 +842,8 @@ common::Status ProcessBatch(const schema::Schema& schema,
     audit.cache->Insert(entry);
     if (audit.save_snapshots &&
         audit.cache->snapshot_store() != nullptr) {
-      // Best-effort persistence, like the fork workers: a full disk or
-      // an unreachable store must not fail the audit.
+      // Best-effort persistence: a full disk or an unreachable store
+      // must not fail the audit.
       audit.cache->SaveCacheSnapshot(*entry).ok();
     }
   }
@@ -983,8 +982,7 @@ common::Status ServeShardWorker(net::Listener& listener,
       if (frame.type == FrameType::kBatch) {
         FrameType reply_type = FrameType::kReports;
         std::string reply;
-        if (!ProcessBatch(schema, frame.payload, audit, &reply_type, &reply)
-                 .ok()) {
+        if (!ProcessBatch(frame.payload, audit, &reply_type, &reply).ok()) {
           break;
         }
         pending_replies += net::EncodeFrameHeader(reply_type, reply);

@@ -1,12 +1,12 @@
-// TCP shard transport: the distributed audit over real sockets.
+// TCP shard transport: the one shard transport.
 //
-// The fork transport (service/shard.h) tops out at one machine: workers
-// are children of the coordinator and inherit the schema by
-// copy-on-write. This transport speaks the same partitioned audit over
-// TCP — a coordinator dials a static worker list, streams
-// signature-coalesced requirement batches as length-prefixed binio
-// frames (net/frame.h), and merges the reply stream into a result
-// byte-identical to RunShardedBatch and single-process CheckBatch.
+// A coordinator dials a static worker list, streams signature-coalesced
+// requirement batches as length-prefixed binio frames (net/frame.h),
+// and merges the reply stream into a result byte-identical to
+// single-process CheckBatch. The workers run ServeShardWorker, either
+// as remote processes or as the forked children of RunShardedBatch
+// (service/shard.h), which is this transport over a fleet it forks on
+// loopback.
 //
 // What makes it fast rather than merely remote:
 //
@@ -55,7 +55,8 @@
 // snapshot::StoreServer and advertises the port in its hello; workers
 // without a local store mount it as a RemoteSnapshotStore, so a fresh
 // fleet warms from the coordinator's packed segment without any file
-// distribution, and (save_snapshots) persists what it builds back.
+// distribution, and (save_snapshots) persists what it builds back —
+// the server being the store's single writer.
 #ifndef OODBSEC_SERVICE_TCP_SHARD_H_
 #define OODBSEC_SERVICE_TCP_SHARD_H_
 
@@ -104,19 +105,22 @@ struct TcpTransportOptions {
   bool save_snapshots = false;
 };
 
-// The TCP coordinator behind the ShardTransport seam. Uses threads
-// (the store server); create fork transports before this one when a
-// process mixes both (fork() wants a single-threaded image).
-class TcpTransport : public ShardTransport {
+// The TCP coordinator. Every transport owes the determinism contract
+// of service/shard.h — reports byte-identical to single-process
+// CheckBatch, earliest-failure error parity — which is what the
+// transport parity tests pin. Uses threads (the store server) until
+// destroyed; run fork transports while none is alive (fork() wants a
+// single-threaded image).
+class TcpTransport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
-  ~TcpTransport() override;
+  ~TcpTransport();
 
-  std::string_view name() const override { return "tcp"; }
+  std::string_view name() const { return "tcp"; }
   common::Result<ShardedBatchResult> Run(
       const schema::Schema& schema, const schema::UserRegistry& users,
       const std::vector<core::Requirement>& requirements,
-      obs::Observability* obs) override;
+      obs::Observability* obs);
 
  private:
   TcpTransportOptions options_;

@@ -1,18 +1,15 @@
-// Little byte-buffer codec for the snapshot tier and the shard wire
-// protocol: append-only writer, bounds-checked reader.
+// Little byte-buffer codec for the snapshot records and the shard and
+// store wire protocols: append-only writer, bounds-checked reader.
 //
-// The format is deliberately dumb — fixed-width little-endian integers
+// The format is deliberately dumb — fixed-width host-endian integers
 // and length-prefixed strings, no varints, no alignment tricks — because
-// every consumer is this repository on the same machine (snapshot files
-// are a cache tier, not an interchange format, and the shard pipe
-// connects two processes of one build). What matters is that a
+// every consumer is this repository on machines of one byte order
+// (snapshot records and every hello carry a byte-order marker, and a
+// mismatch is refused rather than decoded). What matters is that a
 // truncated or corrupted buffer NEVER crashes the reader: every Get*
 // checks the remaining size first and latches a failure flag, so
 // callers can decode an entire structure optimistically and test ok()
-// once at the end (reads after a failure return zero values). The one
-// concession to interchange is set_byte_swap(): the snapshot loader
-// arms it when a file's byte-order marker reads back reversed, so
-// foreign-endian snapshots decode instead of being refused.
+// once at the end (reads after a failure return zero values).
 #ifndef OODBSEC_SNAPSHOT_BINIO_H_
 #define OODBSEC_SNAPSHOT_BINIO_H_
 
@@ -41,39 +38,23 @@ class ByteWriter {
 
  private:
   void PutFixed(const void* v, size_t n) {
-    // Host byte order: snapshots and shard pipes never cross machines
-    // of different endianness (same-host cache / same-host fork).
+    // Host byte order: markers refuse foreign-endian peers and records.
     buffer_.append(reinterpret_cast<const char*>(v), n);
   }
 
   std::string buffer_;
 };
 
-// Byte-swap helpers for the foreign-endian snapshot reader: a snapshot
-// saved on a machine of the opposite endianness has every multi-byte
-// integer byte-swapped, and nothing else (strings and u8 fields are
-// byte sequences). Swapping on read recovers the writer's values.
-inline constexpr uint16_t Bswap16(uint16_t v) {
-  return static_cast<uint16_t>((v >> 8) | (v << 8));
-}
+// The byte-order marker's mirror image is how a foreign-endian peer or
+// record is recognized (and refused).
 inline constexpr uint32_t Bswap32(uint32_t v) {
   return (v >> 24) | ((v >> 8) & 0x0000ff00u) | ((v << 8) & 0x00ff0000u) |
          (v << 24);
-}
-inline constexpr uint64_t Bswap64(uint64_t v) {
-  return (static_cast<uint64_t>(Bswap32(static_cast<uint32_t>(v))) << 32) |
-         Bswap32(static_cast<uint32_t>(v >> 32));
 }
 
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
-
-  // Arms foreign-endian decoding: every subsequent multi-byte integer
-  // (including string length prefixes) is byte-swapped after the read.
-  // The caller decides from the header's byte-order marker.
-  void set_byte_swap(bool swap) { swap_ = swap; }
-  bool byte_swap() const { return swap_; }
 
   uint8_t GetU8() {
     uint8_t v = 0;
@@ -83,20 +64,16 @@ class ByteReader {
   uint32_t GetU32() {
     uint32_t v = 0;
     GetFixed(&v, sizeof v);
-    return swap_ ? Bswap32(v) : v;
+    return v;
   }
   uint64_t GetU64() {
     uint64_t v = 0;
     GetFixed(&v, sizeof v);
-    return swap_ ? Bswap64(v) : v;
+    return v;
   }
   int32_t GetI32() {
     int32_t v = 0;
     GetFixed(&v, sizeof v);
-    if (swap_) {
-      uint32_t u = Bswap32(static_cast<uint32_t>(v));
-      std::memcpy(&v, &u, sizeof v);
-    }
     return v;
   }
   std::string GetString() {
@@ -129,7 +106,6 @@ class ByteReader {
   std::string_view data_;
   size_t pos_ = 0;
   bool failed_ = false;
-  bool swap_ = false;
 };
 
 // FNV-1a 64-bit: the checksum of snapshot payloads, the schema
@@ -143,35 +119,6 @@ inline uint64_t Fnv1a64(std::string_view data, uint64_t seed = 0xcbf29ce48422232
   }
   return hash;
 }
-
-// --- stream-hardened fd I/O ------------------------------------------
-//
-// The ByteReader above decodes a buffer that is already complete; these
-// helpers are how a complete buffer gets off a pipe or socket in the
-// first place. Stream fds deliver *short* reads and writes routinely —
-// a socket hands back whatever one TCP segment carried, a signal
-// interrupts a pipe read with EINTR mid-transfer — so every network or
-// pipe consumer must loop. These are the one shared loop (the fork
-// shard pipes, the TCP shard frames, and the remote snapshot tier all
-// sit on them), exercised by the dribbling-pipe test in net_test.
-//
-// Blocking fds only; the deadline-bounded variants for nonblocking
-// sockets live in net/socket.h.
-
-// Reads exactly `n` bytes, retrying short reads and EINTR. False on
-// EOF-before-n or a real error (errno preserved from the failing call).
-bool ReadFull(int fd, void* buf, size_t n);
-
-// Writes exactly `n` bytes, retrying short writes and EINTR. False on a
-// real error (errno preserved).
-bool WriteFull(int fd, const void* buf, size_t n);
-inline bool WriteFull(int fd, std::string_view data) {
-  return WriteFull(fd, data.data(), data.size());
-}
-
-// Reads `fd` to EOF (growing the result), retrying EINTR. Used by the
-// fork shard coordinator, whose worker messages are EOF-delimited.
-std::string ReadToEof(int fd);
 
 }  // namespace oodbsec::snapshot
 

@@ -5,10 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <list>
 #include <map>
 #include <mutex>
@@ -17,18 +15,14 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "core/closure.h"
-#include "obs/trace.h"
 #include "snapshot/binio.h"
 #include "snapshot/snapshot.h"
-#include "unfold/unfolded.h"
 
 namespace oodbsec::snapshot {
 
 namespace {
 
 constexpr uint64_t kPackHeaderSize = 32;
-constexpr uint64_t kEntryHeaderSize = 32;   // "OODBSNAP" + 2 u32 + 2 u64
 constexpr uint64_t kRecordHeaderSize = 16;  // key u64 + entry length u64
 constexpr uint64_t kIndexEntrySize = 40;
 constexpr uint64_t kTrailerSize = 32;
@@ -69,219 +63,6 @@ struct IndexEntry {
 
 using PackIndex = std::map<uint64_t, IndexEntry>;  // key-sorted
 
-// ---- v3 entry codec ----------------------------------------------------
-
-// Serializes one cache entry into a v3 record: the v2-style header over
-// the packed in-place payload (see packed_store.h for the layout).
-std::string BuildEntryBytes(const schema::Schema& schema,
-                            const core::ClosureOptions& options,
-                            const core::CachedAnalysis& entry) {
-  const std::vector<core::DerivationStep>& steps = entry.closure->steps();
-
-  ByteWriter payload;
-  payload.PutU32(static_cast<uint32_t>(entry.roots.size()));
-  for (const std::string& root : entry.roots) payload.PutString(root);
-  payload.PutString(entry.closure->FactSetDigest());
-
-  // Rule labels dedup into a table; steps reference it by index.
-  std::vector<std::string_view> rules;
-  std::unordered_map<std::string_view, uint32_t> rule_index;
-  for (const core::DerivationStep& step : steps) {
-    if (rule_index.emplace(step.rule, rules.size()).second) {
-      rules.push_back(step.rule);
-    }
-  }
-  payload.PutU32(static_cast<uint32_t>(rules.size()));
-  for (std::string_view rule : rules) payload.PutString(rule);
-
-  uint32_t arena_size = 0;
-  for (const core::DerivationStep& step : steps) {
-    arena_size += step.premise_count;
-  }
-  payload.PutU32(static_cast<uint32_t>(steps.size()));
-  payload.PutU32(arena_size);
-  // The steps offset is payload-relative; records land at 8-aligned
-  // segment offsets and the payload starts 48 bytes in, so padding the
-  // offset to 8 here 8-aligns the step array in the file (and in the
-  // mapping) — the precondition for aliasing it as PackedStep[].
-  uint64_t prefix = payload.buffer().size() + sizeof(uint32_t);
-  uint32_t steps_rel = static_cast<uint32_t>(AlignUp8(prefix));
-  payload.PutU32(steps_rel);
-  payload.PutFixedString(std::string(steps_rel - prefix, '\0'));
-  for (const core::DerivationStep& step : steps) {
-    core::PackedStep packed;
-    packed.a = step.fact.a;
-    packed.b = step.fact.b;
-    packed.origin_num = step.fact.origin.num;
-    packed.rule = rule_index.at(step.rule);
-    packed.premise_offset = step.premise_offset;
-    packed.premise_count = step.premise_count;
-    packed.kind = static_cast<uint8_t>(step.fact.kind);
-    packed.origin_dir = static_cast<uint8_t>(step.fact.origin.dir);
-    payload.PutFixedString(std::string_view(
-        reinterpret_cast<const char*>(&packed), sizeof packed));
-  }
-  // The arena is append-only in step order (Closure::Log), so stored
-  // premise offsets stay valid over the concatenation.
-  for (size_t i = 0; i < steps.size(); ++i) {
-    for (core::FactId premise :
-         entry.closure->premises(static_cast<core::FactId>(i))) {
-      payload.PutI32(premise);
-    }
-  }
-
-  ByteWriter file;
-  file.PutFixedString(kMagic);
-  file.PutU32(kPackedEntryVersion);
-  file.PutU32(kByteOrderMark);
-  file.PutU64(SchemaFingerprint(schema, options));
-  file.PutU64(Fnv1a64(payload.buffer()));
-  return file.Release() + payload.buffer();
-}
-
-// Validates and replays one mapped v3 record. `bytes` aliases the
-// segment mapping; nothing in the returned entry borrows from it (the
-// ReplayView constructor copies). The invalidation ladder mirrors
-// LoadSnapshot: magic/version → byte order → fingerprint → checksum →
-// structural validation → digest equality.
-common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    std::string_view label, std::string_view bytes, obs::Observability* obs) {
-  obs::ScopedSpan span(obs != nullptr ? &obs->tracer : nullptr,
-                       "snapshot.load");
-  if (bytes.size() < kEntryHeaderSize ||
-      bytes.substr(0, kMagic.size()) != kMagic) {
-    return PackError(label, "not a snapshot record");
-  }
-  uint32_t version = LoadU32(bytes.data() + 8);
-  uint32_t marker = LoadU32(bytes.data() + 12);
-  if (marker == Bswap32(kByteOrderMark)) {
-    // Unlike directory snapshots, packs alias raw structs out of the
-    // mapping — a foreign-endian record cannot be replayed in place.
-    return PackError(label, "foreign-endian record (packs are machine-local)");
-  }
-  if (marker != kByteOrderMark) {
-    return PackError(label, "corrupt byte-order marker");
-  }
-  if (version != kPackedEntryVersion) {
-    return PackError(label, common::StrCat("record version ", version,
-                                           " (expected ", kPackedEntryVersion,
-                                           ")"));
-  }
-  uint64_t fingerprint = LoadU64(bytes.data() + 16);
-  uint64_t checksum = LoadU64(bytes.data() + 24);
-  if (fingerprint != SchemaFingerprint(schema, options)) {
-    return PackError(label, "schema fingerprint mismatch (stale generation)");
-  }
-  std::string_view payload = bytes.substr(kEntryHeaderSize);
-  if (Fnv1a64(payload) != checksum) {
-    return PackError(label, "payload checksum mismatch (torn or corrupt)");
-  }
-
-  ByteReader reader(payload);
-  std::vector<std::string> roots;
-  uint32_t root_count = reader.GetU32();
-  for (uint32_t i = 0; i < root_count && reader.ok(); ++i) {
-    roots.push_back(reader.GetString());
-  }
-  std::string digest = reader.GetString();
-  std::vector<std::string_view> rules;
-  uint32_t rule_count = reader.GetU32();
-  for (uint32_t i = 0; i < rule_count && reader.ok(); ++i) {
-    rules.push_back(InternRuleLabel(reader.GetString()));
-  }
-  uint32_t step_count = reader.GetU32();
-  uint32_t arena_count = reader.GetU32();
-  uint32_t steps_rel = reader.GetU32();
-  if (!reader.ok()) return PackError(label, "truncated record prefix");
-
-  uint64_t prefix_end = payload.size() - reader.remaining();
-  uint64_t steps_end =
-      steps_rel + uint64_t{step_count} * sizeof(core::PackedStep);
-  uint64_t payload_end = steps_end + uint64_t{arena_count} * sizeof(int32_t);
-  if (steps_rel < prefix_end || payload_end != payload.size()) {
-    return PackError(label, "record geometry out of bounds");
-  }
-  const char* steps_ptr = payload.data() + steps_rel;
-  if (reinterpret_cast<uintptr_t>(steps_ptr) % alignof(core::PackedStep) !=
-      0) {
-    return PackError(label, "misaligned step array");
-  }
-  core::ReplayView view;
-  view.steps = {reinterpret_cast<const core::PackedStep*>(steps_ptr),
-                step_count};
-  view.premise_arena = {
-      reinterpret_cast<const core::FactId*>(payload.data() + steps_end),
-      arena_count};
-  view.rules = rules;
-
-  auto set_or = unfold::UnfoldedSet::Build(schema, roots, obs);
-  if (!set_or.ok()) {
-    return PackError(label, common::StrCat("stale root list: ",
-                                           set_or.status().message()));
-  }
-  std::unique_ptr<unfold::UnfoldedSet> set = std::move(set_or).value();
-
-  // Structural validation: after this the ReplayView constructor's
-  // precondition holds and in-place replay is safe on hostile bytes.
-  const int n = set->node_count();
-  auto valid_id = [n](int id) { return id >= 1 && id <= n; };
-  for (uint32_t i = 0; i < step_count; ++i) {
-    const core::PackedStep& step = view.steps[i];
-    if (step.kind > static_cast<uint8_t>(core::Fact::Kind::kEq)) {
-      return PackError(label, "invalid fact kind");
-    }
-    auto kind = static_cast<core::Fact::Kind>(step.kind);
-    if (!valid_id(step.a)) {
-      return PackError(label, "occurrence id out of range");
-    }
-    if ((kind == core::Fact::Kind::kPiStar ||
-         kind == core::Fact::Kind::kEq) &&
-        !valid_id(step.b)) {
-      return PackError(label, "occurrence id out of range");
-    }
-    if (step.origin_num < 0 || step.origin_num > n) {
-      return PackError(label, "origin occurrence out of range");
-    }
-    if (step.origin_dir != '+' && step.origin_dir != '-') {
-      return PackError(label, "invalid origin direction");
-    }
-    if (step.rule >= rules.size()) {
-      return PackError(label, "rule index out of range");
-    }
-    uint64_t premise_end =
-        uint64_t{step.premise_offset} + step.premise_count;
-    if (premise_end > arena_count) {
-      return PackError(label, "premise range out of arena bounds");
-    }
-    for (uint32_t p = 0; p < step.premise_count; ++p) {
-      core::FactId premise = view.premise_arena[step.premise_offset + p];
-      if (premise < 0 || static_cast<uint32_t>(premise) >= i) {
-        return PackError(label, "premise references a later step");
-      }
-    }
-  }
-
-  auto entry = std::make_shared<core::CachedAnalysis>();
-  entry->roots = roots;
-  entry->sorted_roots = std::move(roots);
-  std::sort(entry->sorted_roots.begin(), entry->sorted_roots.end());
-  entry->sorted_roots.erase(
-      std::unique(entry->sorted_roots.begin(), entry->sorted_roots.end()),
-      entry->sorted_roots.end());
-  entry->closure = std::make_unique<core::Closure>(*set, options, obs, view);
-  entry->set = std::move(set);
-
-  if (entry->closure->FactSetDigest() != digest) {
-    return PackError(label, "fact-set digest mismatch (stale derivation log)");
-  }
-  if (obs != nullptr) {
-    obs->metrics.counter("snapshot.load.facts")
-        ->Increment(entry->closure->fact_count());
-  }
-  return std::shared_ptr<const core::CachedAnalysis>(std::move(entry));
-}
-
 // ---- segment parsing ---------------------------------------------------
 
 // Validates one record header + entry at `offset` of `file`. Fills
@@ -299,7 +80,7 @@ bool ParseRecordAt(std::string_view file, uint64_t offset, uint64_t* key_out,
   }
   std::string_view entry = file.substr(offset + kRecordHeaderSize, length);
   if (entry.substr(0, kMagic.size()) != kMagic) return false;
-  if (LoadU32(entry.data() + 8) != kPackedEntryVersion) return false;
+  if (LoadU32(entry.data() + 8) != kFormatVersion) return false;
   if (LoadU32(entry.data() + 12) != kByteOrderMark) return false;
   uint64_t checksum = LoadU64(entry.data() + 24);
   if (Fnv1a64(entry.substr(kEntryHeaderSize)) != checksum) return false;
@@ -382,8 +163,7 @@ bool LoadIndex(std::string_view file, PackIndex* index,
 
 // ---- the store ---------------------------------------------------------
 
-class PackedStore final : public SnapshotStore,
-                          public std::enable_shared_from_this<PackedStore> {
+class PackedStore final : public SnapshotStore {
  public:
   PackedStore(std::string path, size_t page_cache_capacity)
       : path_(std::move(path)),
@@ -458,9 +238,6 @@ class PackedStore final : public SnapshotStore,
     has_fingerprint_ = true;
     auto it = index_.find(key);
     if (it == index_.end()) {
-      lock.unlock();
-      // Worker overlay: reads fall through to the parent segment.
-      if (base_ != nullptr) return base_->Find(schema, options, roots, obs);
       return common::NotFoundError(
           common::StrCat("pack ", path_, ": no record for signature"));
     }
@@ -681,116 +458,7 @@ class PackedStore final : public SnapshotStore,
         entries.push_back(std::move(decoded).value());
       }
     }
-    if (base_ != nullptr && entries.size() < limit) {
-      // Worker overlay: surface the parent's entries too, own side
-      // segment winning on a shared signature.
-      std::vector<std::shared_ptr<const core::CachedAnalysis>> below =
-          base_->LoadAll(schema, options, limit - entries.size(), invalid,
-                         obs);
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& entry : below) {
-        if (index_.count(SnapshotKeyHash(options, entry->roots)) != 0) {
-          continue;
-        }
-        entries.push_back(std::move(entry));
-      }
-    }
     return entries;
-  }
-
-  common::Result<std::shared_ptr<SnapshotStore>> ForkWorker(
-      int worker_id) override {
-    std::string side_path = common::StrCat(path_, ".worker.", worker_id);
-    // A side segment surviving a killed fleet belongs to a dead worker;
-    // its records were either merged or are stale. Start clean.
-    std::error_code ec;
-    std::filesystem::remove(side_path, ec);
-    auto side = std::make_shared<PackedStore>(std::move(side_path),
-                                              page_cache_capacity_);
-    common::Status status = side->OpenFile();
-    if (!status.ok()) return status;
-    side->base_ = shared_from_this();
-    return std::shared_ptr<SnapshotStore>(std::move(side));
-  }
-
-  common::Status MergeWorkers() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::filesystem::path self(path_);
-    std::filesystem::path dir = self.parent_path();
-    if (dir.empty()) dir = ".";
-    std::string prefix = self.filename().string() + ".worker.";
-    std::vector<std::pair<long, std::string>> sides;
-    std::error_code ec;
-    for (const auto& dirent : std::filesystem::directory_iterator(dir, ec)) {
-      std::string name = dirent.path().filename().string();
-      if (name.size() <= prefix.size() ||
-          name.compare(0, prefix.size(), prefix) != 0) {
-        continue;
-      }
-      std::string suffix = name.substr(prefix.size());
-      if (suffix.find_first_not_of("0123456789") != std::string::npos) {
-        continue;  // tmp files and other debris
-      }
-      sides.emplace_back(std::stol(suffix), dirent.path().string());
-    }
-    if (sides.empty()) return common::Status::Ok();
-    std::sort(sides.begin(), sides.end());  // worker order: deterministic
-
-    common::Status first_error;
-    bool appended = false;
-    for (const auto& [worker_id, side_path] : sides) {
-      std::string file;
-      {
-        std::ifstream in(side_path, std::ios::binary);
-        if (!in) {
-          if (first_error.ok()) {
-            first_error = common::InternalError(
-                common::StrCat("pack ", side_path, ": cannot read"));
-          }
-          continue;
-        }
-        file.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-      }
-      if (file.size() < kPackHeaderSize ||
-          std::string_view(file).substr(0, kPackMagic.size()) != kPackMagic ||
-          LoadU32(file.data() + 8) != kPackVersion ||
-          LoadU32(file.data() + 12) != kByteOrderMark) {
-        if (first_error.ok()) {
-          first_error = PackError(side_path, "not a pack segment");
-        }
-        continue;
-      }
-      // Salvage whatever validates, even from a worker killed mid-save.
-      PackIndex side_index;
-      uint64_t side_end = 0;
-      LoadIndex(file, &side_index, &side_end);
-      common::Status fold = common::Status::Ok();
-      for (const auto& [key, meta] : side_index) {
-        auto it = index_.find(key);
-        if (it != index_.end() && it->second.fingerprint == meta.fingerprint &&
-            it->second.checksum == meta.checksum &&
-            it->second.length == meta.length) {
-          continue;  // already live — identical bytes by checksum
-        }
-        std::string_view bytes = std::string_view(file).substr(
-            meta.offset + kRecordHeaderSize, meta.length);
-        fold = AppendRawLocked(key, bytes, meta.fingerprint, meta.checksum);
-        if (!fold.ok()) break;
-        appended = true;
-      }
-      if (!fold.ok()) {
-        if (first_error.ok()) first_error = fold;
-        continue;  // leave the side segment for inspection
-      }
-      std::filesystem::remove(side_path, ec);
-    }
-    if (appended || first_error.ok()) {
-      common::Status status = WriteFooterLocked();
-      if (status.ok()) status = Remap();
-      if (!status.ok() && first_error.ok()) first_error = status;
-    }
-    return first_error;
   }
 
  private:
@@ -952,10 +620,6 @@ class PackedStore final : public SnapshotStore,
 
   const std::string path_;
   const size_t page_cache_capacity_;
-  // Worker overlay: non-null on stores returned by ForkWorker; Find
-  // and LoadAll fall through to it on a local miss.
-  std::shared_ptr<SnapshotStore> base_;
-
   mutable std::mutex mu_;
   int fd_ = -1;
   char* map_ = nullptr;
@@ -988,35 +652,6 @@ common::Result<std::shared_ptr<SnapshotStore>> OpenPackedStore(
   common::Status status = store->OpenFile();
   if (!status.ok()) return status;
   return std::shared_ptr<SnapshotStore>(std::move(store));
-}
-
-common::Result<MigrateStats> MigrateDirectoryToPack(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    const std::string& dir, const std::string& pack_path,
-    obs::Observability* obs) {
-  std::shared_ptr<SnapshotStore> source = OpenDirectoryStore(dir);
-  OODBSEC_ASSIGN_OR_RETURN(std::shared_ptr<SnapshotStore> pack,
-                           OpenPackedStore(pack_path));
-  MigrateStats stats;
-  std::vector<std::shared_ptr<const core::CachedAnalysis>> entries =
-      source->LoadAll(schema, options, /*limit=*/SIZE_MAX, &stats.invalid,
-                      obs);
-  for (const auto& entry : entries) {
-    common::Status status = pack->Save(schema, options, *entry);
-    if (!status.ok()) return status;
-    // Read the migrated record back and hold it to the directory copy:
-    // digest equality per entry, or the migration fails.
-    auto back = pack->Find(schema, options, entry->roots, obs);
-    if (!back.ok()) return back.status();
-    if (back.value()->closure->FactSetDigest() !=
-        entry->closure->FactSetDigest()) {
-      return common::InternalError(
-          common::StrCat("pack ", pack_path,
-                         ": migrated record digest diverges from ", dir));
-    }
-    ++stats.migrated;
-  }
-  return stats;
 }
 
 }  // namespace oodbsec::snapshot

@@ -1,19 +1,14 @@
-// PackedStore: the single-file snapshot storage engine (the production
-// SnapshotStore).
+// PackedStore: the single-file snapshot storage engine (the store of
+// record).
 //
-// The directory tier (one file per capability signature) pays a file
-// open per probe, scatters the cache across thousands of inodes at
-// production scale, and never reclaims stale generations. PackedStore
-// keeps every cached closure in ONE segment file with an on-disk index
-// of far pointers (segment offset + length) keyed by the capability
-// signature hash — the same key the directory tier spells as a hex
-// file name — following the page/far-pointer idiom of Tokyo Cabinet's
-// B-tree pager (see ROADMAP).
+// PackedStore keeps every cached closure in ONE segment file with an
+// on-disk index of far pointers (segment offset + length) keyed by the
+// capability signature hash (SnapshotKeyHash), following the
+// page/far-pointer idiom of Tokyo Cabinet's B-tree pager (see ROADMAP).
 //
 // File layout (all integers host-endian; a pack never crosses machines
 // of different endianness — the mmap replay path aliases raw structs,
-// so unlike directory snapshots a foreign pack is refused, not
-// swapped):
+// so a foreign pack is refused):
 //
 //   header   "OODBPACK" | pack version u32 | byte-order marker u32
 //            | reserved u64 x2                               (32 bytes)
@@ -26,20 +21,10 @@
 //              index offset u64 | entry count u64
 //              | index checksum u64 (FNV-1a) | "OODBPIDX"    (32 bytes)
 //
-// Each entry is a format-v3 snapshot record: the v2 per-entry header
-// ("OODBSNAP" | version 3 | byte-order marker | schema fingerprint |
-// FNV-1a payload checksum) followed by a payload laid out for in-place
-// replay:
-//
-//   roots (count + strings) | fact-set digest | rule-label table
-//   | step count u32 | arena count u32 | steps offset u32
-//   | zero pad to 8 | core::PackedStep[steps] | premise arena i32[]
-//
-// The step array and premise arena are aliased straight out of the
-// mmap'd segment (core::ReplayView) — replay reads facts in place, no
-// intermediate buffers. The fail-safe invalidation ladder is the same
-// as the directory tier's: magic/version → byte order → fingerprint →
-// checksum → structural validation → digest equality.
+// Each entry is one format-v3 snapshot record (snapshot/snapshot.h),
+// validated and replayed by DecodeEntry with its step array and
+// premise arena aliased straight out of the mmap'd segment — no
+// intermediate buffers.
 //
 // Durability: appends go record-first, footer-second, so a torn write
 // loses at most the record being appended; Open falls back from an
@@ -53,12 +38,9 @@
 // repeated Finds of one signature (e.g. the session cache and the
 // service cache sharing a store) pay one replay.
 //
-// Sharded audits: ForkWorker (called in the forked child) opens a
-// private side segment "<path>.worker.<id>" layered over the parent
-// segment — reads fall through, writes append locally, so sibling
-// workers never contend. MergeWorkers folds the side segments back
-// into the main one, copying record bytes verbatim (replay is
-// deterministic, so merged records reproduce byte-identical reports).
+// One writer: a pack is owned by one process. Sharded audits, forked
+// or remote, reach it through the coordinator's StoreServer
+// (remote_store.h), never by opening the file themselves.
 #ifndef OODBSEC_SNAPSHOT_PACKED_STORE_H_
 #define OODBSEC_SNAPSHOT_PACKED_STORE_H_
 
@@ -69,9 +51,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "common/status.h"
-#include "obs/obs.h"
-#include "schema/schema.h"
 #include "snapshot/snapshot_store.h"
 
 namespace oodbsec::snapshot {
@@ -79,9 +58,6 @@ namespace oodbsec::snapshot {
 inline constexpr std::string_view kPackMagic = "OODBPACK";
 inline constexpr std::string_view kPackIndexMagic = "OODBPIDX";
 inline constexpr uint32_t kPackVersion = 1;
-// The per-entry format inside packs: v3 = the v2 header over the
-// packed in-place payload. Directory snapshots stay at v2.
-inline constexpr uint32_t kPackedEntryVersion = 3;
 
 // Opens (creating if absent) the packed segment at `path`. Fails when
 // the file exists but is not a pack, is a newer pack version, or was
@@ -91,20 +67,6 @@ inline constexpr uint32_t kPackedEntryVersion = 3;
 // (min 1).
 common::Result<std::shared_ptr<SnapshotStore>> OpenPackedStore(
     std::string path, size_t page_cache_capacity = 64);
-
-// One-shot migration: loads every valid snapshot file in `dir` (sorted,
-// invalid files skipped and counted) into the pack at `pack_path`, then
-// reads each entry back and asserts fact-set digest equality against
-// the directory copy. Fails on the first divergence — a failed
-// migration leaves the directory untouched.
-struct MigrateStats {
-  size_t migrated = 0;
-  size_t invalid = 0;
-};
-common::Result<MigrateStats> MigrateDirectoryToPack(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    const std::string& dir, const std::string& pack_path,
-    obs::Observability* obs = nullptr);
 
 }  // namespace oodbsec::snapshot
 

@@ -1,5 +1,7 @@
 #include "snapshot/remote_store.h"
 
+#include <sys/socket.h>
+
 #include <utility>
 
 #include "common/strings.h"
@@ -55,8 +57,9 @@ class RemoteSnapshotStore : public SnapshotStore {
                                       request.buffer(), &reply));
     switch (reply.type) {
       case FrameType::kStoreFound:
-        return DecodeSnapshot(schema, options, reply.payload,
-                              common::StrCat("remote:", host_port_), obs);
+        return DecodeEntry(schema, options,
+                           common::StrCat("remote:", host_port_),
+                           reply.payload, obs);
       case FrameType::kStoreMiss:
         return common::NotFoundError(reply.payload);
       case FrameType::kStoreFail:
@@ -73,7 +76,7 @@ class RemoteSnapshotStore : public SnapshotStore {
                       const core::CachedAnalysis& entry) override {
     std::lock_guard<std::mutex> lock(mu_);
     ++saves_;
-    std::string bytes = EncodeSnapshot(schema, options, entry);
+    std::string bytes = BuildEntryBytes(schema, options, entry);
     if (bytes.empty()) {
       return common::InvalidArgumentError("snapshot: entry has no closure");
     }
@@ -144,14 +147,6 @@ class RemoteSnapshotStore : public SnapshotStore {
       size_t* invalid, obs::Observability*) override {
     if (invalid != nullptr) *invalid = 0;
     return {};
-  }
-
-  common::Result<std::shared_ptr<SnapshotStore>> ForkWorker(int) override {
-    // A forked child must not reuse the parent's connection (two
-    // processes interleaving frames on one socket); it gets a fresh
-    // lazy client to the same address.
-    return std::shared_ptr<SnapshotStore>(
-        std::make_shared<RemoteSnapshotStore>(host_port_, options_));
   }
 
  private:
@@ -281,6 +276,9 @@ common::Status StoreServer::Start(const schema::Schema& schema,
 void StoreServer::Stop() {
   if (!running()) return;
   stop_.store(true);
+  // Wakes the accept loop out of its poll at once instead of at the
+  // next 200ms timeout.
+  ::shutdown(listener_.fd(), SHUT_RDWR);
   accept_thread_.join();
   std::vector<std::thread> connections;
   {
@@ -354,12 +352,11 @@ void StoreServer::ServeConnection(net::Socket conn) {
         auto found = backing_->Find(*schema_, options_, roots);
         common::Status write = common::Status::Ok();
         if (found.ok()) {
-          // Re-encode the replayed, digest-verified entry as a
-          // directory-format record; the client re-validates on its
-          // side of the wire.
+          // Re-encode the replayed, digest-verified entry as a v3
+          // record; the client re-validates on its side of the wire.
           write = net::WriteFrame(conn.fd(), FrameType::kStoreFound,
-                                  EncodeSnapshot(*schema_, options_,
-                                                 *found.value()),
+                                  BuildEntryBytes(*schema_, options_,
+                                                  *found.value()),
                                   io_timeout_ms_);
         } else if (found.status().code() == common::StatusCode::kNotFound) {
           write = net::WriteFrame(conn.fd(), FrameType::kStoreMiss,
@@ -373,12 +370,12 @@ void StoreServer::ServeConnection(net::Socket conn) {
         break;
       }
       case FrameType::kStoreSave: {
-        // Validate before touching the backing store: DecodeSnapshot
+        // Validate before touching the backing store: DecodeEntry
         // replays and digest-checks, so hostile or stale bytes are
         // refused here with the specific diagnosis.
         common::Status outcome = common::Status::Ok();
-        auto decoded = DecodeSnapshot(*schema_, options_, frame.payload,
-                                      "store-server save");
+        auto decoded = DecodeEntry(*schema_, options_, "store-server save",
+                                   frame.payload);
         if (decoded.ok()) {
           outcome = backing_->Save(*schema_, options_, *decoded.value());
         } else {

@@ -1,22 +1,21 @@
 // The networked snapshot tier: a SnapshotStore client and the server
 // that fronts a real store over TCP.
 //
-// A distributed audit fleet (service/tcp_shard.h) wants every worker
-// warm, but the packed segment lives on the coordinator's disk. Rather
-// than rsync pack files around, the coordinator runs a StoreServer in
-// front of its store and each worker mounts a RemoteSnapshotStore —
-// the same SnapshotStore interface the closure cache already speaks,
-// so the L1/L2 tiering code does not know the L2 is remote.
+// A shard fleet (service/tcp_shard.h) wants every worker warm, but the
+// packed segment lives on the coordinator's disk. Rather than share
+// the pack file, the coordinator runs a StoreServer in front of its
+// store and each worker — a forked child or a remote process alike —
+// mounts a RemoteSnapshotStore: the same SnapshotStore interface the
+// closure cache already speaks, so the L1/L2 tiering code does not
+// know the L2 is remote. The server is then the store's single writer.
 //
-// What crosses the wire is a *decoded directory-format record* (the
-// EncodeSnapshot byte string: header + checksummed derivation log),
-// never a pack page: packs stay server-local, and the record's own v2
-// byte-order marker means a foreign-endian worker can still decode a
-// snapshot record even though the shard protocol itself refuses
-// foreign-endian peers. Both ends validate independently — the server
-// replays and digest-checks before encoding, the client re-validates
-// with DecodeSnapshot after the bytes arrive — so a lying peer or a
-// corrupted frame degrades to a miss, never to a wrong closure.
+// What crosses the wire is one v3 snapshot record (BuildEntryBytes,
+// snapshot/snapshot.h) — the same bytes a pack stores. Both ends
+// validate independently: the server replays and digest-checks before
+// encoding, the client re-validates with DecodeEntry after the bytes
+// arrive (and the server does the same for a save before persisting),
+// so a lying peer or a corrupted frame degrades to a miss, never to a
+// wrong closure.
 //
 // Protocol (net/frame.h kStore* frames, one request in flight per
 // connection): hello carries the protocol version, the byte-order
@@ -55,8 +54,7 @@ struct RemoteStoreOptions {
 
 // Opens a SnapshotStore speaking the store protocol to `host_port`.
 // The connection is lazy (first Find/Save dials and hellos), so opening
-// never blocks and ForkWorker can hand fresh instances to forked
-// children. Sweep is server-side only and returns kFailedPrecondition;
+// never blocks. Sweep is server-side only and returns kFailedPrecondition;
 // LoadAll over the wire is deliberately unsupported (returns empty) —
 // remote warmth comes from per-signature Finds.
 std::shared_ptr<SnapshotStore> OpenRemoteStore(

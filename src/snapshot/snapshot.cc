@@ -1,11 +1,8 @@
 #include "snapshot/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <cstring>
 #include <mutex>
-#include <unistd.h>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -20,11 +17,19 @@ namespace oodbsec::snapshot {
 
 namespace {
 
-// Fixed header: magic, format version, byte-order marker, schema
-// fingerprint, payload checksum. Everything after byte kHeaderSize is
-// the checksummed payload.
-constexpr size_t kHeaderSize =
-    8 + 2 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+uint64_t AlignUp8(uint64_t v) { return (v + 7) & ~uint64_t{7}; }
+
+uint64_t LoadU64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 std::string OptionBits(const core::ClosureOptions& o) {
   std::string bits;
@@ -36,22 +41,26 @@ std::string OptionBits(const core::ClosureOptions& o) {
   return bits;
 }
 
-common::Status Invalid(std::string_view path, std::string_view what) {
+common::Status Invalid(std::string_view label, std::string_view what) {
   return common::FailedPreconditionError(
-      common::StrCat("snapshot ", path, ": ", what));
+      common::StrCat("snapshot ", label, ": ", what));
 }
 
-}  // namespace
-
+// Copies `label` into a never-freed process-wide pool and returns a
+// view with effectively static storage, so a decoded closure satisfies
+// Closure's "rule strings outlive everything" contract and can itself
+// serve as a warm-start base. Thread-safe. The pool is bounded by the
+// set of distinct rule labels in the system (a few dozen), so "never
+// freed" is a contract, not a leak.
 std::string_view InternRuleLabel(std::string_view label) {
   static std::mutex mu;
-  // Leaked deliberately: interned labels back string_views inside
-  // closures that may outlive any scope we could tie the pool to.
   // unordered_set gives stable element references across rehash.
   static auto* pool = new std::unordered_set<std::string>();
   std::lock_guard<std::mutex> lock(mu);
   return *pool->emplace(label).first;
 }
+
+}  // namespace
 
 uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options) {
@@ -94,28 +103,18 @@ uint64_t SnapshotKeyHash(const core::ClosureOptions& options,
   return hash;
 }
 
-std::string SnapshotFileName(const core::ClosureOptions& options,
-                             const std::vector<std::string>& roots) {
-  char name[32];
-  std::snprintf(name, sizeof name, "%016llx.snap",
-                static_cast<unsigned long long>(SnapshotKeyHash(options,
-                                                                roots)));
-  return name;
-}
-
-std::string EncodeSnapshot(const schema::Schema& schema,
-                           const core::ClosureOptions& options,
-                           const core::CachedAnalysis& entry) {
+std::string BuildEntryBytes(const schema::Schema& schema,
+                            const core::ClosureOptions& options,
+                            const core::CachedAnalysis& entry) {
   if (entry.closure == nullptr || entry.set == nullptr) return {};
+  const std::vector<core::DerivationStep>& steps = entry.closure->steps();
 
   ByteWriter payload;
   payload.PutU32(static_cast<uint32_t>(entry.roots.size()));
   for (const std::string& root : entry.roots) payload.PutString(root);
   payload.PutString(entry.closure->FactSetDigest());
 
-  // Rule labels are deduplicated into a table; steps reference it by
-  // index (the label set is small — one entry per rule, not per fact).
-  const std::vector<core::DerivationStep>& steps = entry.closure->steps();
+  // Rule labels dedup into a table; steps reference it by index.
   std::vector<std::string_view> rules;
   std::unordered_map<std::string_view, uint32_t> rule_index;
   for (const core::DerivationStep& step : steps) {
@@ -126,25 +125,35 @@ std::string EncodeSnapshot(const schema::Schema& schema,
   payload.PutU32(static_cast<uint32_t>(rules.size()));
   for (std::string_view rule : rules) payload.PutString(rule);
 
-  payload.PutU32(static_cast<uint32_t>(steps.size()));
-  for (const core::DerivationStep& step : steps) {
-    payload.PutU8(static_cast<uint8_t>(step.fact.kind));
-    payload.PutI32(step.fact.a);
-    payload.PutI32(step.fact.b);
-    payload.PutI32(step.fact.origin.num);
-    payload.PutU8(static_cast<uint8_t>(step.fact.origin.dir));
-    payload.PutU32(rule_index.at(step.rule));
-    payload.PutU32(step.premise_offset);
-    payload.PutU32(step.premise_count);
-  }
-  // The premise arena is append-only in step order (Closure::Log), so
-  // concatenating each step's premises reproduces it exactly and the
-  // stored offsets stay valid.
   uint32_t arena_size = 0;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    arena_size += steps[i].premise_count;
+  for (const core::DerivationStep& step : steps) {
+    arena_size += step.premise_count;
   }
+  payload.PutU32(static_cast<uint32_t>(steps.size()));
   payload.PutU32(arena_size);
+  // The steps offset is payload-relative and the payload starts 32
+  // bytes into the record, so padding the offset to 8 here 8-aligns the
+  // step array wherever the record itself is 8-aligned (pack records,
+  // frame buffers) — the precondition for aliasing it as PackedStep[].
+  uint64_t prefix = payload.buffer().size() + sizeof(uint32_t);
+  uint32_t steps_rel = static_cast<uint32_t>(AlignUp8(prefix));
+  payload.PutU32(steps_rel);
+  payload.PutFixedString(std::string(steps_rel - prefix, '\0'));
+  for (const core::DerivationStep& step : steps) {
+    core::PackedStep packed;
+    packed.a = step.fact.a;
+    packed.b = step.fact.b;
+    packed.origin_num = step.fact.origin.num;
+    packed.rule = rule_index.at(step.rule);
+    packed.premise_offset = step.premise_offset;
+    packed.premise_count = step.premise_count;
+    packed.kind = static_cast<uint8_t>(step.fact.kind);
+    packed.origin_dir = static_cast<uint8_t>(step.fact.origin.dir);
+    payload.PutFixedString(std::string_view(
+        reinterpret_cast<const char*>(&packed), sizeof packed));
+  }
+  // The arena is append-only in step order (Closure::Log), so stored
+  // premise offsets stay valid over the concatenation.
   for (size_t i = 0; i < steps.size(); ++i) {
     for (core::FactId premise :
          entry.closure->premises(static_cast<core::FactId>(i))) {
@@ -161,169 +170,121 @@ std::string EncodeSnapshot(const schema::Schema& schema,
   return file.Release() + payload.buffer();
 }
 
-common::Status SaveSnapshot(const schema::Schema& schema,
-                            const core::ClosureOptions& options,
-                            const core::CachedAnalysis& entry,
-                            const std::string& path) {
-  std::string bytes = EncodeSnapshot(schema, options, entry);
-  if (bytes.empty()) {
-    return common::InvalidArgumentError("snapshot: entry has no closure");
-  }
-
-  std::error_code ec;
-  std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  // Write-to-temp + rename: concurrent shard workers saving the same
-  // signature race benignly (both write identical bytes; rename is
-  // atomic), and readers never observe a torn file.
-  std::string tmp = common::StrCat(path, ".tmp.", ::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
-      std::filesystem::remove(tmp, ec);
-      return common::InternalError(
-          common::StrCat("snapshot: cannot write ", tmp));
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return common::InternalError(
-        common::StrCat("snapshot: cannot rename into ", path));
-  }
-  return common::Status::Ok();
-}
-
-common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeSnapshot(
+common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
     const schema::Schema& schema, const core::ClosureOptions& options,
-    std::string_view bytes, std::string_view name, obs::Observability* obs) {
-  std::string_view data = bytes;
-  std::string_view path = name;  // label for diagnostics only
-
-  if (data.size() < kHeaderSize ||
-      data.substr(0, kMagic.size()) != kMagic) {
-    return Invalid(path, "not a snapshot file");
+    std::string_view label, std::string_view bytes, obs::Observability* obs) {
+  obs::ScopedSpan span(obs != nullptr ? &obs->tracer : nullptr,
+                       "snapshot.load");
+  if (bytes.size() < kEntryHeaderSize ||
+      bytes.substr(0, kMagic.size()) != kMagic) {
+    return Invalid(label, "not a snapshot record");
   }
-  ByteReader header(data.substr(kMagic.size(), kHeaderSize - kMagic.size()));
-  uint32_t version = header.GetU32();
-  uint32_t byte_order = header.GetU32();
-  // The marker decides how to read everything else — including the
-  // version field already consumed raw above — so it is interpreted
-  // first. A swapped marker arms foreign-endian decoding; anything that
-  // is neither spelling is corruption, diagnosed as such.
-  bool foreign = byte_order == Bswap32(kByteOrderMark);
-  if (!foreign && byte_order != kByteOrderMark) {
-    return Invalid(path, "corrupt byte-order marker");
+  uint32_t version = LoadU32(bytes.data() + 8);
+  uint32_t marker = LoadU32(bytes.data() + 12);
+  if (marker == Bswap32(kByteOrderMark)) {
+    // Replay aliases raw structs out of the record, so a foreign-endian
+    // record cannot be replayed in place.
+    return Invalid(label, "foreign-endian record (records are machine-local)");
   }
-  header.set_byte_swap(foreign);
-  if (foreign) version = Bswap32(version);
-  uint64_t fingerprint = header.GetU64();
-  uint64_t checksum = header.GetU64();
+  if (marker != kByteOrderMark) {
+    return Invalid(label, "corrupt byte-order marker");
+  }
   if (version != kFormatVersion) {
-    return Invalid(path, common::StrCat("format version ", version,
-                                        " (expected ", kFormatVersion, ")"));
+    return Invalid(label, common::StrCat("record version ", version,
+                                         " (expected ", kFormatVersion, ")"));
   }
+  uint64_t fingerprint = LoadU64(bytes.data() + 16);
+  uint64_t checksum = LoadU64(bytes.data() + 24);
   if (fingerprint != SchemaFingerprint(schema, options)) {
-    return Invalid(path, "schema fingerprint mismatch (schema or options "
-                         "changed since save)");
+    return Invalid(label, "schema fingerprint mismatch (stale generation)");
   }
-  // The checksum is FNV over the writer's raw payload bytes — the same
-  // bytes we hold, whatever their endianness — so a foreign file only
-  // needed its stored checksum field swapped (done by GetU64 above).
-  std::string_view payload = std::string_view(data).substr(kHeaderSize);
+  std::string_view payload = bytes.substr(kEntryHeaderSize);
   if (Fnv1a64(payload) != checksum) {
-    return Invalid(path, "payload checksum mismatch (truncated or corrupt)");
+    return Invalid(label, "payload checksum mismatch (torn or corrupt)");
   }
 
   ByteReader reader(payload);
-  reader.set_byte_swap(foreign);
   std::vector<std::string> roots;
   uint32_t root_count = reader.GetU32();
   for (uint32_t i = 0; i < root_count && reader.ok(); ++i) {
     roots.push_back(reader.GetString());
   }
   std::string digest = reader.GetString();
-
   std::vector<std::string_view> rules;
   uint32_t rule_count = reader.GetU32();
   for (uint32_t i = 0; i < rule_count && reader.ok(); ++i) {
     rules.push_back(InternRuleLabel(reader.GetString()));
   }
-
-  core::ReplayLog log;
   uint32_t step_count = reader.GetU32();
-  if (reader.ok()) log.steps.reserve(step_count);
-  for (uint32_t i = 0; i < step_count && reader.ok(); ++i) {
-    core::DerivationStep step;
-    uint8_t kind = reader.GetU8();
-    step.fact.a = reader.GetI32();
-    step.fact.b = reader.GetI32();
-    step.fact.origin.num = reader.GetI32();
-    step.fact.origin.dir = static_cast<char>(reader.GetU8());
-    uint32_t rule = reader.GetU32();
-    step.premise_offset = reader.GetU32();
-    step.premise_count = reader.GetU32();
-    if (!reader.ok()) break;
-    if (kind > static_cast<uint8_t>(core::Fact::Kind::kEq)) {
-      return Invalid(path, "invalid fact kind");
-    }
-    step.fact.kind = static_cast<core::Fact::Kind>(kind);
-    if (rule >= rules.size()) {
-      return Invalid(path, "rule index out of range");
-    }
-    step.rule = rules[rule];
-    log.steps.push_back(step);
-  }
   uint32_t arena_count = reader.GetU32();
-  if (reader.ok()) log.premise_arena.reserve(arena_count);
-  for (uint32_t i = 0; i < arena_count && reader.ok(); ++i) {
-    log.premise_arena.push_back(reader.GetI32());
-  }
-  if (!reader.exhausted()) {
-    return Invalid(path, "truncated payload or trailing bytes");
-  }
+  uint32_t steps_rel = reader.GetU32();
+  if (!reader.ok()) return Invalid(label, "truncated record prefix");
 
-  // Re-unfold the stored root list; a root the schema no longer resolves
-  // means the snapshot is stale (the fingerprint covers declared
-  // functions, but be defensive anyway).
+  uint64_t prefix_end = payload.size() - reader.remaining();
+  uint64_t steps_end =
+      steps_rel + uint64_t{step_count} * sizeof(core::PackedStep);
+  uint64_t payload_end = steps_end + uint64_t{arena_count} * sizeof(int32_t);
+  if (steps_rel < prefix_end || payload_end != payload.size()) {
+    return Invalid(label, "record geometry out of bounds");
+  }
+  const char* steps_ptr = payload.data() + steps_rel;
+  if (reinterpret_cast<uintptr_t>(steps_ptr) % alignof(core::PackedStep) !=
+      0) {
+    return Invalid(label, "misaligned step array");
+  }
+  core::ReplayView view;
+  view.steps = {reinterpret_cast<const core::PackedStep*>(steps_ptr),
+                step_count};
+  view.premise_arena = {
+      reinterpret_cast<const core::FactId*>(payload.data() + steps_end),
+      arena_count};
+  view.rules = rules;
+
+  // Re-unfold the stored root list; a root the schema no longer
+  // resolves means the record is stale.
   auto set_or = unfold::UnfoldedSet::Build(schema, roots, obs);
   if (!set_or.ok()) {
-    return Invalid(path, common::StrCat("stale root list: ",
-                                        set_or.status().message()));
+    return Invalid(label, common::StrCat("stale root list: ",
+                                         set_or.status().message()));
   }
   std::unique_ptr<unfold::UnfoldedSet> set = std::move(set_or).value();
 
-  // Structural validation: every id must be an occurrence of this
-  // unfold, every premise must reference an earlier step. After this
-  // the ReplayLog constructor's precondition holds and replay is safe.
+  // Structural validation: after this the ReplayView constructor's
+  // precondition holds and in-place replay is safe on hostile bytes.
   const int n = set->node_count();
   auto valid_id = [n](int id) { return id >= 1 && id <= n; };
-  for (size_t i = 0; i < log.steps.size(); ++i) {
-    const core::DerivationStep& step = log.steps[i];
-    const core::Fact& fact = step.fact;
-    if (!valid_id(fact.a)) return Invalid(path, "occurrence id out of range");
-    if ((fact.kind == core::Fact::Kind::kPiStar ||
-         fact.kind == core::Fact::Kind::kEq) &&
-        !valid_id(fact.b)) {
-      return Invalid(path, "occurrence id out of range");
+  for (uint32_t i = 0; i < step_count; ++i) {
+    const core::PackedStep& step = view.steps[i];
+    if (step.kind > static_cast<uint8_t>(core::Fact::Kind::kEq)) {
+      return Invalid(label, "invalid fact kind");
     }
-    if (fact.origin.num < 0 || fact.origin.num > n) {
-      return Invalid(path, "origin occurrence out of range");
+    auto kind = static_cast<core::Fact::Kind>(step.kind);
+    if (!valid_id(step.a)) {
+      return Invalid(label, "occurrence id out of range");
     }
-    if (fact.origin.dir != '+' && fact.origin.dir != '-') {
-      return Invalid(path, "invalid origin direction");
+    if ((kind == core::Fact::Kind::kPiStar ||
+         kind == core::Fact::Kind::kEq) &&
+        !valid_id(step.b)) {
+      return Invalid(label, "occurrence id out of range");
+    }
+    if (step.origin_num < 0 || step.origin_num > n) {
+      return Invalid(label, "origin occurrence out of range");
+    }
+    if (step.origin_dir != '+' && step.origin_dir != '-') {
+      return Invalid(label, "invalid origin direction");
+    }
+    if (step.rule >= rules.size()) {
+      return Invalid(label, "rule index out of range");
     }
     uint64_t premise_end =
-        static_cast<uint64_t>(step.premise_offset) + step.premise_count;
-    if (premise_end > log.premise_arena.size()) {
-      return Invalid(path, "premise range out of arena bounds");
+        uint64_t{step.premise_offset} + step.premise_count;
+    if (premise_end > arena_count) {
+      return Invalid(label, "premise range out of arena bounds");
     }
     for (uint32_t p = 0; p < step.premise_count; ++p) {
-      core::FactId premise = log.premise_arena[step.premise_offset + p];
-      if (premise < 0 || static_cast<size_t>(premise) >= i) {
-        return Invalid(path, "premise references a later step");
+      core::FactId premise = view.premise_arena[step.premise_offset + p];
+      if (premise < 0 || static_cast<uint32_t>(premise) >= i) {
+        return Invalid(label, "premise references a later step");
       }
     }
   }
@@ -335,7 +296,7 @@ common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeSnapshot(
   entry->sorted_roots.erase(
       std::unique(entry->sorted_roots.begin(), entry->sorted_roots.end()),
       entry->sorted_roots.end());
-  entry->closure = std::make_unique<core::Closure>(*set, options, obs, log);
+  entry->closure = std::make_unique<core::Closure>(*set, options, obs, view);
   entry->set = std::move(set);
 
   // Defence in depth: the replayed closure must reproduce the saved
@@ -343,32 +304,13 @@ common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeSnapshot(
   // without a format-version bump — refuse rather than serve stale
   // capabilities.
   if (entry->closure->FactSetDigest() != digest) {
-    return Invalid(path, "fact-set digest mismatch (stale derivation log)");
+    return Invalid(label, "fact-set digest mismatch (stale derivation log)");
   }
   if (obs != nullptr) {
     obs->metrics.counter("snapshot.load.facts")
         ->Increment(entry->closure->fact_count());
   }
   return std::shared_ptr<const core::CachedAnalysis>(std::move(entry));
-}
-
-common::Result<std::shared_ptr<const core::CachedAnalysis>> LoadSnapshot(
-    const schema::Schema& schema, const core::ClosureOptions& options,
-    const std::string& path, obs::Observability* obs) {
-  obs::ScopedSpan span(obs != nullptr ? &obs->tracer : nullptr,
-                       "snapshot.load");
-
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return common::NotFoundError(
-          common::StrCat("snapshot ", path, ": no such file"));
-    }
-    data.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  return DecodeSnapshot(schema, options, data, path, obs);
 }
 
 }  // namespace oodbsec::snapshot

@@ -1,28 +1,22 @@
 // SnapshotStore: the persistence API behind the L2 closure-cache tier.
 //
-// Before this interface every layer (SessionOptions, ServiceOptions,
-// ShardOptions, ClosureCache) plumbed a raw `snapshot_dir` string and
-// the cache composed file paths inline. The store abstracts the four
-// operations the cache actually needs — probe by capability signature,
-// persist an entry, sweep stale generations, report stats — so the
-// same call sites drive either backend:
+// The store abstracts the operations the closure cache needs — probe by
+// capability signature, persist an entry, sweep stale generations,
+// bulk-load, report stats — over the one record encoding
+// (snapshot/snapshot.h). Two implementations exist:
 //
-//   * DirectoryStore — one versioned, checksummed file per capability
-//     signature (the PR-4 layout, src/snapshot/snapshot.h). Kept for
-//     migration and debugging: files are individually inspectable and
-//     trivially rsync-able.
-//   * PackedStore — a single packed segment with an on-disk index,
-//     an LRU page cache, and mmap in-place replay
-//     (src/snapshot/packed_store.h). The production default.
+//   * PackedStore — a single packed segment with an on-disk index, an
+//     LRU page cache, and mmap in-place replay
+//     (src/snapshot/packed_store.h). The store of record.
+//   * RemoteSnapshotStore — a client of a StoreServer fronting some
+//     other store over TCP (src/snapshot/remote_store.h). This is how
+//     shard workers, forked or remote, reach the coordinator's store.
 //
-// A store is shared: one object serves the session's recheck cache,
-// the service's closure cache, and every sharded worker (ForkWorker /
-// MergeWorkers give multi-process stores a fork-safe protocol).
-// Thread-safety: Find/Save/Sweep/Stats may be called from any thread;
-// implementations synchronize internally. ForkWorker/MergeWorkers
-// follow the sharded-audit fork discipline (see shard.h): ForkWorker
-// is called in the freshly forked child, MergeWorkers in the
-// coordinator after every worker exited.
+// A store is shared: one object serves the session's recheck cache, the
+// service's closure cache, and — through the coordinator's
+// StoreServer — every shard worker, so each store has exactly one
+// writer process. Thread-safety: every operation may be called from any
+// thread; implementations synchronize internally.
 #ifndef OODBSEC_SNAPSHOT_SNAPSHOT_STORE_H_
 #define OODBSEC_SNAPSHOT_SNAPSHOT_STORE_H_
 
@@ -102,28 +96,7 @@ class SnapshotStore {
       const schema::Schema& schema, const core::ClosureOptions& options,
       size_t limit, size_t* invalid = nullptr,
       obs::Observability* obs = nullptr) = 0;
-
-  // Multi-process protocol for the sharded audit. ForkWorker is called
-  // in a freshly forked worker and returns the store that worker should
-  // use: reads see everything the parent store held at fork time,
-  // writes go to a private side location that never races siblings.
-  // MergeWorkers is called by the coordinator after all workers exited
-  // and folds their side writes back into this store.
-  virtual common::Result<std::shared_ptr<SnapshotStore>> ForkWorker(
-      int worker_id) = 0;
-  virtual common::Status MergeWorkers() { return common::Status::Ok(); }
 };
-
-// A store over the one-file-per-signature directory layout. Never
-// fails to open: the directory is created on first Save, and a missing
-// directory reads as empty.
-std::shared_ptr<SnapshotStore> OpenDirectoryStore(std::string dir);
-
-// The migration shim behind the deprecated `snapshot_dir` options
-// fields: `store` when set, else a DirectoryStore over `deprecated_dir`
-// when non-empty, else nullptr (persistence disabled).
-std::shared_ptr<SnapshotStore> ResolveStore(
-    std::shared_ptr<SnapshotStore> store, const std::string& deprecated_dir);
 
 }  // namespace oodbsec::snapshot
 

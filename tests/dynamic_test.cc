@@ -14,6 +14,7 @@
 #include "dynamic/session_guard.h"
 #include "query/binder.h"
 #include "query/query_parser.h"
+#include "snapshot/packed_store.h"
 #include "snapshot/snapshot_store.h"
 #include "test_util.h"
 #include "text/workspace.h"
@@ -443,9 +444,13 @@ TEST(SessionGuardTest, ConcurrentDecisionsAreSafe) {
 TEST(SessionGuardTest, SnapshotStoreWarmsRestartedGuard) {
   test_util::ScopedTempDir tmp("oodbsec_guard_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
+  const std::string pack = tmp.path() + "/guard.pack";
   GuardOptions options;
-  options.snapshot_store = snapshot::OpenDirectoryStore(dir);
+  {
+    auto store = snapshot::OpenPackedStore(pack);
+    ASSERT_TRUE(store.ok()) << store.status();
+    options.snapshot_store = std::move(store).value();
+  }
 
   std::string first_digest;
   {
@@ -457,9 +462,12 @@ TEST(SessionGuardTest, SnapshotStoreWarmsRestartedGuard) {
     ASSERT_TRUE(f.guard->SaveCacheSnapshot().ok());
   }
   {
-    // A "restarted" guard over the same store: the persisted session
+    // A "restarted" guard over the reopened pack: the persisted session
     // closures replay from disk, so the same decision costs zero
     // fixpoint evaluations.
+    auto store = snapshot::OpenPackedStore(pack);
+    ASSERT_TRUE(store.ok()) << store.status();
+    options.snapshot_store = std::move(store).value();
     TwoClassFixture f(options);
     EXPECT_GT(f.guard->LoadCacheSnapshot(), 0u);
     auto decision = f.guard->CheckFunctions("ana", {"checkBudget0"});

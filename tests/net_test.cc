@@ -1,22 +1,22 @@
-// Distributed-transport tests: stream-hardened binio, the frame codec's
-// robustness contract, the TCP shard transport's byte-identity triangle
-// against fork and single-process CheckBatch, worker-death re-queue on
-// both transports, and the networked snapshot tier.
+// Distributed-transport tests: the frame codec's robustness contract,
+// the TCP shard transport's byte-identity triangle against fork and
+// single-process CheckBatch, worker-death re-queue, the fork
+// transport's process lifecycle, and the networked snapshot tier.
 //
 // Ordering caveat inside every parity test: the fork transport runs
 // FIRST, before any TCP worker thread exists — fork() wants a
 // single-threaded process image (service/shard.h). gtest runs tests
 // sequentially and each test joins its threads, so the image is
 // single-threaded again at the next test's fork.
-#include <pthread.h>
-#include <signal.h>
-#include <stdlib.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -154,68 +154,9 @@ class LoopbackFleet {
   std::atomic<bool> stop_{false};
 };
 
-// ---------------------------------------------------------------------------
-// Satellite 1: stream-hardened binio primitives.
-
-TEST(BinioStreamTest, ReadFullSurvivesDribblingWriter) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  std::string payload;
-  for (int i = 0; i < 4096; ++i) payload.push_back(static_cast<char>(i * 7));
-
-  // The writer dribbles one byte at a time — every ReadFull iteration
-  // sees a short read and must loop rather than trust one read().
-  std::thread writer([fd = fds[1], &payload] {
-    for (char c : payload) {
-      while (::write(fd, &c, 1) != 1) {
-      }
-    }
-    ::close(fd);
-  });
-
-  std::string got(payload.size(), '\0');
-  EXPECT_TRUE(snapshot::ReadFull(fds[0], got.data(), got.size()));
-  EXPECT_EQ(got, payload);
-
-  // EOF now: a full read must fail, not spin.
-  char extra = 0;
-  EXPECT_FALSE(snapshot::ReadFull(fds[0], &extra, 1));
-  writer.join();
-  ::close(fds[0]);
-}
-
-TEST(BinioStreamTest, WriteFullSurvivesTinyPipeBuffer) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  // A payload far beyond any pipe buffer: WriteFull must loop short
-  // writes while the reader drains slowly.
-  std::string payload(1 << 20, 'x');
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<char>(i * 131);
-  }
-
-  std::string got;
-  std::thread reader([fd = fds[0], &got] {
-    got = snapshot::ReadToEof(fd);
-    ::close(fd);
-  });
-
-  EXPECT_TRUE(snapshot::WriteFull(fds[1], payload));
-  ::close(fds[1]);
-  reader.join();
-  EXPECT_EQ(got, payload);
-}
-
-TEST(BinioStreamTest, WriteFullFailsOnClosedPipeWithoutSignal) {
-  // WriteFull must report a dead peer as `false`, not die on SIGPIPE
-  // (the transport relies on this to turn peer death into re-queue).
-  ::signal(SIGPIPE, SIG_IGN);
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ::close(fds[0]);
-  std::string payload(1 << 16, 'y');
-  EXPECT_FALSE(snapshot::WriteFull(fds[1], payload));
-  ::close(fds[1]);
+// Writes raw, unframed bytes to a test socket.
+bool Send(int fd, std::string_view bytes) {
+  return net::WriteFullTimeout(fd, bytes.data(), bytes.size(), 1000);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +190,7 @@ TEST(FrameTest, GarbagePrefixRejected) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::string garbage = "HTTP/1.1 200 OK\r\n\r\nthis is not a frame";
-  ASSERT_TRUE(snapshot::WriteFull(fds[0], garbage));
+  ASSERT_TRUE(Send(fds[0], garbage));
   ::close(fds[0]);
 
   net::Frame frame;
@@ -265,8 +206,9 @@ TEST(FrameTest, TornFrameRejected) {
   std::string header =
       net::EncodeFrameHeader(net::FrameType::kReports, payload);
   // Header plus half the payload, then the peer dies.
-  ASSERT_TRUE(snapshot::WriteFull(fds[0], header));
-  ASSERT_TRUE(snapshot::WriteFull(fds[0], payload.data(), payload.size() / 2));
+  ASSERT_TRUE(Send(fds[0], header));
+  ASSERT_TRUE(
+      Send(fds[0], std::string_view(payload).substr(0, payload.size() / 2)));
   ::close(fds[0]);
 
   net::Frame frame;
@@ -282,8 +224,8 @@ TEST(FrameTest, ChecksumMismatchRejected) {
   std::string header =
       net::EncodeFrameHeader(net::FrameType::kReports, payload);
   payload[5] ^= 0x40;  // corrupt after the checksum was computed
-  ASSERT_TRUE(snapshot::WriteFull(fds[0], header));
-  ASSERT_TRUE(snapshot::WriteFull(fds[0], payload));
+  ASSERT_TRUE(Send(fds[0], header));
+  ASSERT_TRUE(Send(fds[0], payload));
   ::close(fds[0]);
 
   net::Frame frame;
@@ -299,7 +241,7 @@ TEST(FrameTest, OversizedLengthRejected) {
   std::string header = net::EncodeFrameHeader(net::FrameType::kBatch, "");
   uint32_t huge = net::kMaxFramePayload + 1;
   std::memcpy(header.data() + 8, &huge, sizeof huge);
-  ASSERT_TRUE(snapshot::WriteFull(fds[0], header));
+  ASSERT_TRUE(Send(fds[0], header));
   ::close(fds[0]);
 
   net::Frame frame;
@@ -456,8 +398,9 @@ TEST(TcpShardTest, SnapshotWarmedFleetServesRemoteHits) {
   Fleet fleet = MakeFleet();
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  auto store = snapshot::OpenDirectoryStore(dir);
+  auto opened = snapshot::OpenPackedStore(tmp.path() + "/fleet.pack");
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::shared_ptr<snapshot::SnapshotStore> store = std::move(opened).value();
 
   service::AnalysisService single(*fleet.schema, *fleet.users);
   auto single_run = single.CheckBatch(fleet.sheet);
@@ -501,15 +444,21 @@ TEST(TcpShardTest, SnapshotWarmedFleetServesRemoteHits) {
 
 // ---------------------------------------------------------------------------
 // The remote snapshot store on its own: Find/Save/Stats against a
-// StoreServer fronting a directory store.
+// StoreServer fronting a packed store.
+
+std::shared_ptr<snapshot::SnapshotStore> OpenPack(const std::string& dir) {
+  auto store = snapshot::OpenPackedStore(dir + "/cache.pack");
+  EXPECT_TRUE(store.ok()) << store.status();
+  return store.ok() ? std::move(store).value() : nullptr;
+}
 
 TEST(RemoteStoreTest, FindSaveStatsRoundTrip) {
   auto schema = BrokerSchema();
   ClosureOptions options;
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  auto backing = snapshot::OpenDirectoryStore(dir);
+  auto backing = OpenPack(tmp.path());
+  ASSERT_NE(backing, nullptr);
 
   snapshot::StoreServer server;
   ASSERT_TRUE(server.Start(*schema, options, backing).ok());
@@ -528,9 +477,7 @@ TEST(RemoteStoreTest, FindSaveStatsRoundTrip) {
   EXPECT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), common::StatusCode::kNotFound);
 
-  core::ClosureCache builder(
-      *schema, options, 64, nullptr,
-      std::shared_ptr<snapshot::SnapshotStore>(nullptr));
+  core::ClosureCache builder(*schema, options);
   auto built = builder.GetOrBuild(roots);
   ASSERT_TRUE(built.ok()) << built.status();
 
@@ -543,8 +490,8 @@ TEST(RemoteStoreTest, FindSaveStatsRoundTrip) {
   // to the original build.
   auto remote = client->Find(*schema, options, roots);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  EXPECT_EQ(snapshot::EncodeSnapshot(*schema, options, *remote.value()),
-            snapshot::EncodeSnapshot(*schema, options, *built.value()));
+  EXPECT_EQ(snapshot::BuildEntryBytes(*schema, options, *remote.value()),
+            snapshot::BuildEntryBytes(*schema, options, *built.value()));
 
   auto stats = client->Stats();
   EXPECT_NE(stats.description.find("remote:"), std::string::npos);
@@ -562,8 +509,8 @@ TEST(RemoteStoreTest, FingerprintMismatchRefusedAndCached) {
   ClosureOptions options;
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  auto backing = snapshot::OpenDirectoryStore(dir);
+  auto backing = OpenPack(tmp.path());
+  ASSERT_NE(backing, nullptr);
 
   snapshot::StoreServer server;
   ASSERT_TRUE(server.Start(*schema, options, backing).ok());
@@ -592,57 +539,86 @@ TEST(RemoteStoreTest, FingerprintMismatchRefusedAndCached) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2: fork-path worker death surfaces a diagnosed error and
-// leaves no orphaned side segments behind.
+// The fork transport's lifecycle: however a run ends, every forked
+// worker is killed and reaped and the store server stopped before Run
+// returns, so the caller is single-threaded again. (A child that dies
+// mid-audit is just a dead TCP worker: WorkerDeathRequeuesToSurvivor
+// and AllWorkersDeadFailsAudit pin that path.)
 
-TEST(ForkShardTest, WorkerDeathSurfacesShardError) {
+// ThreadSanitizer's runtime keeps a background thread of its own.
+#if defined(__SANITIZE_THREAD__)
+constexpr size_t kRuntimeThreads = 1;
+#else
+constexpr size_t kRuntimeThreads = 0;
+#endif
+
+void ExpectNoChildrenAndOneThread(const char* after) {
+  int wstatus = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &wstatus, WNOHANG), -1)
+      << "a forked worker outlived the " << after << " run";
+  EXPECT_EQ(errno, ECHILD) << after;
+  // A joined thread's task entry can outlive pthread_join by a moment
+  // (the kernel wakes the joiner before it reaps the thread), so the
+  // count gets a bounded moment to settle.
+  size_t tasks = 0;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    tasks = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++tasks;
+    }
+    if (tasks == 1 + kRuntimeThreads) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(tasks, 1 + kRuntimeThreads)
+      << "threads left behind by the " << after << " run";
+}
+
+TEST(ForkShardTest, EveryRunReapsItsWorkersAndThreads) {
   Fleet fleet = MakeFleet();
   ScopedTempDir tmp("oodbsec_net_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
-  std::string pack = dir + "/cache.pack";
-  auto store = snapshot::OpenPackedStore(pack);
-  ASSERT_TRUE(store.ok()) << store.status();
+  ExpectNoChildrenAndOneThread("earlier");
 
   service::ShardOptions options;
   options.shard_count = 2;
+  service::ForkTransport clean_transport(options);
+  EXPECT_EQ(clean_transport.name(), "fork");
+  auto clean =
+      clean_transport.Run(*fleet.schema, *fleet.users, fleet.sheet, nullptr);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ExpectNoChildrenAndOneThread("clean");
+
+  std::vector<core::Requirement> haunted = fleet.sheet;
+  auto ghost = core::ParseRequirementString("(ghost, r_salary(x) : ti)");
+  ASSERT_TRUE(ghost.ok()) << ghost.status();
+  haunted.insert(haunted.begin() + 2, std::move(ghost).value());
+  auto failed = service::RunShardedBatch(*fleet.schema, *fleet.users,
+                                         haunted, options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), common::StatusCode::kNotFound);
+  ExpectNoChildrenAndOneThread("failing");
+
+  std::shared_ptr<snapshot::SnapshotStore> store = OpenPack(tmp.path());
+  ASSERT_NE(store, nullptr);
+  options.snapshot_store = store;
   options.save_snapshots = true;
-  options.snapshot_store = store.value();
+  auto stored = service::RunShardedBatch(*fleet.schema, *fleet.users,
+                                         fleet.sheet, options);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored->merged_stats.closures_built, 3u);
+  EXPECT_EQ(store->Stats().entries, 3u);
+  ExpectNoChildrenAndOneThread("stored");
 
-  // The seam: shard 0's worker writes half its stream and exits 3 —
-  // the OOM-killed-worker shape.
-  ASSERT_EQ(::setenv("OODBSEC_TEST_SHARD_CRASH", "0", 1), 0);
-  auto run = RunShardedBatch(*fleet.schema, *fleet.users, fleet.sheet,
-                             options, nullptr);
-  ASSERT_EQ(::unsetenv("OODBSEC_TEST_SHARD_CRASH"), 0);
-
-  ASSERT_FALSE(run.ok());
-  EXPECT_NE(run.status().message().find("shard 0"), std::string::npos);
-  EXPECT_NE(run.status().message().find("exited with status 3"),
-            std::string::npos);
-
-  // The coordinator still merged the surviving workers' side segments:
-  // nothing named *.worker.* may be left on disk.
-  int side_segments = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().find(".worker.") !=
-        std::string::npos) {
-      ++side_segments;
-    }
-  }
-  EXPECT_EQ(side_segments, 0);
-
-  // The fleet recovers: the same batch over the same store now runs
-  // clean, byte-identical to single-process.
-  auto retry = RunShardedBatch(*fleet.schema, *fleet.users, fleet.sheet,
-                               options, nullptr);
-  ASSERT_TRUE(retry.ok()) << retry.status();
-
+  // Only now may a thread pool exist: the reference batch.
   service::AnalysisService single(*fleet.schema, *fleet.users);
   auto single_run = single.CheckBatch(fleet.sheet);
   ASSERT_TRUE(single_run.ok()) << single_run.status();
   for (size_t i = 0; i < fleet.sheet.size(); ++i) {
-    EXPECT_EQ(retry.value().reports[i].ToString(),
+    EXPECT_EQ(clean->reports[i].ToString(), single_run.value()[i].ToString());
+    EXPECT_EQ(stored->reports[i].ToString(),
               single_run.value()[i].ToString());
   }
 }

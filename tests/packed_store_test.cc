@@ -3,13 +3,13 @@
 // The roundtrip suite pins the store contract: a closure saved into the
 // pack and found through a freshly opened store (or a fresh *process* —
 // this binary re-execs itself as a worker) replays byte-identical via
-// the mmap'd segment, and the packed, directory, and cold paths all
-// derive one fact-set digest. The recovery suite tears the segment
-// (truncated tail, corrupted index) and requires every record that
-// still validates to survive. The retention suite drifts the schema and
+// the mmap'd segment, and the packed and cold paths derive one
+// fact-set digest. The recovery suite tears the segment (truncated
+// tail, corrupted index) and requires every record that still
+// validates to survive. The retention suite drifts the schema and
 // requires one sweep to reclaim 100% of the stale generation's bytes.
 // The page-cache and shard suites pin the LRU accounting and the
-// fork/merge parity of the sharded audit over one shared pack.
+// restart parity of the sharded audit over one shared pack.
 //
 // This binary has its own main: `packed_store_test --packed-worker
 // <pack>` runs the stockbroker audit against a packed store and prints
@@ -253,29 +253,19 @@ TEST_F(PackedStoreTest, ByteIdenticalReplayAcrossReopen) {
   EXPECT_EQ(invalid, 0u);
 }
 
-TEST_F(PackedStoreTest, PackedDirectoryAndColdDigestsAgree) {
-  // The acceptance triangle: the packed replay, the directory replay,
-  // and a cold build of the same roots must derive one fact set.
-  std::string snap_dir = common::StrCat(dir_, "/snaps");
-  auto directory = snapshot::OpenDirectoryStore(snap_dir);
+TEST_F(PackedStoreTest, PackedAndColdDigestsAgree) {
+  // The packed replay and a cold build of the same roots must derive
+  // one fact set.
   auto packed = Open();
   ASSERT_NE(packed, nullptr);
-  ASSERT_NE(BuildAndSave(*schema_, options_, directory, kFullRoots), nullptr);
   ASSERT_NE(BuildAndSave(*schema_, options_, packed, kFullRoots), nullptr);
-
-  auto from_dir = directory->Find(*schema_, options_, kFullRoots);
   auto from_pack = packed->Find(*schema_, options_, kFullRoots);
-  ASSERT_TRUE(from_dir.ok()) << from_dir.status();
   ASSERT_TRUE(from_pack.ok()) << from_pack.status();
 
   auto cold_set = unfold::UnfoldedSet::Build(*schema_, kFullRoots);
   ASSERT_TRUE(cold_set.ok());
   core::Closure cold(*cold_set.value());
   EXPECT_EQ(from_pack.value()->closure->FactSetDigest(), cold.FactSetDigest());
-  EXPECT_EQ(from_pack.value()->closure->FactSetDigest(),
-            from_dir.value()->closure->FactSetDigest());
-  ExpectIdenticalLogs(*from_dir.value()->closure,
-                      *from_pack.value()->closure);
 }
 
 TEST_F(PackedStoreTest, IdenticalResaveDoesNotGrowTheSegment) {
@@ -350,9 +340,8 @@ TEST_F(PackedStoreTest, ForeignEndianPackIsRefused) {
     ASSERT_NE(store, nullptr);
     ASSERT_NE(BuildAndSave(*schema_, options_, store, kFullRoots), nullptr);
   }
-  // Mirror the pack header's byte-order marker: unlike directory
-  // snapshots (which swap-decode), the mmap replay path aliases raw
-  // structs, so a foreign pack must be refused outright.
+  // Mirror the pack header's byte-order marker: the mmap replay path
+  // aliases raw structs, so a foreign pack must be refused outright.
   std::string bytes = ReadFileBytes(pack_);
   std::reverse(bytes.begin() + 12, bytes.begin() + 16);
   WriteFileBytes(pack_, bytes);
@@ -489,8 +478,8 @@ TEST_F(PackedStoreTest, PageCacheLruAccounting) {
 }
 
 TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
-  // The session resolves its store once; a service borrowing the
-  // session must share the same object (one page cache).
+  // The session holds its store as given; a service borrowing the
+  // session must persist through the same object (one page cache).
   auto store = Open();
   ASSERT_NE(store, nullptr);
   Fleet fleet = MakeFleet(1);
@@ -499,42 +488,11 @@ TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
   core::AnalysisSession session(*fleet.schema, *fleet.users, options);
   EXPECT_EQ(session.options().snapshot_store.get(), store.get());
   EXPECT_EQ(session.recheck_cache().snapshot_store().get(), store.get());
-  // The deprecated directory shim still resolves to a store.
-  core::SessionOptions legacy;
-  legacy.snapshot_dir = dir_;
-  core::AnalysisSession old_style(*fleet.schema, *fleet.users, legacy);
-  EXPECT_NE(old_style.options().snapshot_store, nullptr);
-}
-
-TEST_F(PackedStoreTest, MigrateDirectoryToPackVerifiesDigests) {
-  std::string snap_dir = common::StrCat(dir_, "/snaps");
-  auto directory = snapshot::OpenDirectoryStore(snap_dir);
-  auto full = BuildAndSave(*schema_, options_, directory, kFullRoots);
-  auto small = BuildAndSave(*schema_, options_, directory, kSmallRoots);
-  ASSERT_NE(full, nullptr);
-  ASSERT_NE(small, nullptr);
-  // An unreadable file in the directory is skipped and counted, never
-  // migrated.
-  WriteFileBytes(common::StrCat(snap_dir, "/garbage.snap"),
-                 "definitely not a snapshot");
-
-  auto migrated =
-      snapshot::MigrateDirectoryToPack(*schema_, options_, snap_dir, pack_);
-  ASSERT_TRUE(migrated.ok()) << migrated.status();
-  EXPECT_EQ(migrated.value().migrated, 2u);
-  EXPECT_EQ(migrated.value().invalid, 1u);
-
-  auto pack = Open();
-  ASSERT_NE(pack, nullptr);
-  EXPECT_EQ(pack->Stats().entries, 2u);
-  auto from_pack = pack->Find(*schema_, options_, kFullRoots);
-  ASSERT_TRUE(from_pack.ok()) << from_pack.status();
-  EXPECT_EQ(from_pack.value()->closure->FactSetDigest(),
-            full->closure->FactSetDigest());
-  auto small_back = pack->Find(*schema_, options_, kSmallRoots);
-  ASSERT_TRUE(small_back.ok()) << small_back.status();
-  EXPECT_EQ(small_back.value()->closure->FactSetDigest(),
-            small->closure->FactSetDigest());
+  service::AnalysisService service(session);
+  auto batch = service.CheckBatch(fleet.sheet);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_TRUE(service.SaveCacheSnapshot().ok());
+  EXPECT_EQ(store->Stats().entries, 3u);
 }
 
 // --- sharded audit over one shared pack ------------------------------
@@ -561,9 +519,9 @@ TEST(PackedShard, SharedPackParityAcrossRestart) {
   EXPECT_EQ(cold->merged_stats.closures_built, 3u);
   EXPECT_EQ(cold->merged_stats.snapshot_hits, 0u);
 
-  // Kill the fleet: drop the store and reopen the pack cold. The
-  // coordinator's merge must have folded every worker's side segment
-  // into the main one, and no worker side files may survive.
+  // Kill the fleet: drop the store and reopen the pack cold. Every
+  // worker saved through the coordinator's store server, so the pack
+  // is the only file and holds every record.
   options.snapshot_store.reset();
   for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(dirent.path().string(), pack) << "stray side segment";

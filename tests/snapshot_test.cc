@@ -1,18 +1,21 @@
 // Snapshot-tier and shard-coordinator tests.
 //
-// The roundtrip suite pins the persistence contract: a closure saved to
-// disk and loaded in a fresh cache (or a fresh *process* — this binary
-// re-execs itself as a worker) replays to a byte-identical derivation
-// log and serves audits with zero fixpoints. The robustness suite feeds
-// the loader truncated, corrupted, version-skewed, and fingerprint-
-// skewed files and requires a counted fallback to a cold build — never
-// a crash, never a wrong answer. The shard suite pins the coordinator's
-// determinism contract against single-process CheckBatch.
+// The roundtrip suite pins the persistence contract: a closure saved
+// into a packed store and loaded in a fresh cache (or a fresh *process*
+// — this binary re-execs itself as a worker) replays to a
+// byte-identical derivation log and serves audits with zero fixpoints.
+// The robustness suite walks the v3 record decoder's invalidation
+// ladder rung by rung — truncated, corrupted, version-skewed,
+// foreign-endian, fingerprint-skewed, structurally damaged and
+// digest-skewed records — and requires a specific refusal plus a
+// counted fallback to a cold build: never a crash, never a wrong
+// answer. The shard suite pins the partitioner's spread and the fork
+// transport's determinism contract against single-process CheckBatch.
 //
-// This binary has its own main: `snapshot_test --snapshot-worker <dir>`
-// runs the stockbroker audit against a snapshot directory and prints
-// the reports, which is how the cross-process roundtrip fixture spawns
-// a genuinely fresh process image.
+// This binary has its own main: `snapshot_test --snapshot-worker <pack>`
+// runs the stockbroker audit against a packed store and prints the
+// reports, which is how the cross-process roundtrip fixture spawns a
+// genuinely fresh process image.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -40,7 +43,9 @@
 #include "service/capability_signature.h"
 #include "service/shard.h"
 #include "snapshot/binio.h"
+#include "snapshot/packed_store.h"
 #include "snapshot/snapshot.h"
+#include "snapshot/snapshot_store.h"
 #include "test_util.h"
 #include "unfold/unfolded.h"
 
@@ -137,11 +142,11 @@ Fleet MakeFleet(int accounts_per_role = 3) {
   return fleet;
 }
 
-service::ServiceOptions MakeServiceOptions(int threads,
-                                           std::string snapshot_dir = {}) {
+service::ServiceOptions MakeServiceOptions(
+    int threads, std::shared_ptr<snapshot::SnapshotStore> store = nullptr) {
   service::ServiceOptions options;
   options.threads = threads;
-  options.snapshot_dir = std::move(snapshot_dir);
+  options.snapshot_store = std::move(store);
   return options;
 }
 
@@ -160,10 +165,12 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   EXPECT_TRUE(out.good()) << path;
 }
 
-std::string SnapshotPath(const std::string& dir, const ClosureOptions& options,
-                         const std::vector<std::string>& roots) {
-  return common::StrCat(dir, "/",
-                        snapshot::SnapshotFileName(options, roots));
+// Opens (creating) the packed store at `path`. Each call is a fresh
+// store object, so a reopen simulates a restarted process.
+std::shared_ptr<snapshot::SnapshotStore> OpenPack(const std::string& path) {
+  auto store = snapshot::OpenPackedStore(path);
+  EXPECT_TRUE(store.ok()) << store.status();
+  return store.ok() ? std::move(store).value() : nullptr;
 }
 
 // Asserts the two closures have byte-identical derivation logs — same
@@ -195,50 +202,53 @@ const std::vector<std::string> kFullRoots = {"checkBudget", "updateSalary"};
 TEST(SnapshotRoundtrip, ByteIdenticalReplay) {
   ScopedTempDir tmp("oodbsec_snapshot_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
+  const std::string pack = tmp.path() + "/cache.pack";
   auto schema = BrokerSchema();
   ClosureOptions options;
 
-  ClosureCache saver(*schema, options, 64, nullptr, dir);
-  auto built = saver.GetOrBuild(kFullRoots);
-  ASSERT_TRUE(built.ok()) << built.status();
-  ASSERT_TRUE(saver.SaveCacheSnapshot(*built.value()).ok());
+  std::shared_ptr<const CachedAnalysis> built;
+  {
+    ClosureCache saver(*schema, options, 64, nullptr, OpenPack(pack));
+    auto result = saver.GetOrBuild(kFullRoots);
+    ASSERT_TRUE(result.ok()) << result.status();
+    built = result.value();
+    ASSERT_TRUE(saver.SaveCacheSnapshot(*built).ok());
+  }
 
-  // A fresh cache simulating a restarted process: the probe must serve
-  // the saved entry, replayed — not rebuilt.
-  ClosureCache loader(*schema, options, 64, nullptr, dir);
+  // A fresh cache over a reopened store simulates a restarted process:
+  // the probe must serve the saved entry, replayed — not rebuilt.
+  ClosureCache loader(*schema, options, 64, nullptr, OpenPack(pack));
   auto loaded = loader.FindSnapshot(kFullRoots);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loader.stats().snapshot_hits, 1u);
   EXPECT_EQ(loader.stats().cold_builds, 0u);
   EXPECT_TRUE(loaded->closure->warm_started());
   EXPECT_EQ(loaded->roots, kFullRoots);
-  EXPECT_EQ(loaded->closure->FactSetDigest(),
-            built.value()->closure->FactSetDigest());
-  ExpectIdenticalLogs(*built.value()->closure, *loaded->closure);
+  EXPECT_EQ(loaded->closure->FactSetDigest(), built->closure->FactSetDigest());
+  ExpectIdenticalLogs(*built->closure, *loaded->closure);
 }
 
 TEST(SnapshotRoundtrip, GetOrBuildChainsExactThenSnapshotThenBuild) {
   ScopedTempDir tmp("oodbsec_snapshot_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
+  const std::string pack = tmp.path() + "/cache.pack";
   auto schema = BrokerSchema();
   ClosureOptions options;
 
   {
-    ClosureCache saver(*schema, options, 64, nullptr, dir);
+    ClosureCache saver(*schema, options, 64, nullptr, OpenPack(pack));
     auto built = saver.GetOrBuild(kFullRoots);
     ASSERT_TRUE(built.ok()) << built.status();
     ASSERT_TRUE(saver.SaveCacheSnapshot().ok());  // bulk form
   }
 
-  ClosureCache cache(*schema, options, 64, nullptr, dir);
+  ClosureCache cache(*schema, options, 64, nullptr, OpenPack(pack));
   auto first = cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cache.stats().snapshot_hits, 1u);
   EXPECT_EQ(cache.stats().cold_builds, 0u);
   EXPECT_EQ(cache.stats().warm_builds, 0u);
-  // Second resolution: the L2 hit landed in L1, so no disk touch.
+  // Second resolution: the L2 hit landed in L1, so no store touch.
   auto second = cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(cache.stats().exact_hits, 1u);
@@ -252,12 +262,12 @@ TEST(SnapshotRoundtrip, GetOrBuildChainsExactThenSnapshotThenBuild) {
 TEST(SnapshotRoundtrip, LoadedSnapshotServesAsWarmBase) {
   ScopedTempDir tmp("oodbsec_snapshot_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
+  const std::string pack = tmp.path() + "/cache.pack";
   auto schema = BrokerSchema();
   ClosureOptions options;
 
   {
-    ClosureCache saver(*schema, options, 64, nullptr, dir);
+    ClosureCache saver(*schema, options, 64, nullptr, OpenPack(pack));
     auto built = saver.GetOrBuild({"checkBudget"});
     ASSERT_TRUE(built.ok());
     ASSERT_TRUE(saver.SaveCacheSnapshot().ok());
@@ -265,7 +275,7 @@ TEST(SnapshotRoundtrip, LoadedSnapshotServesAsWarmBase) {
 
   // Bulk warm start, then a superset request: the loaded entry must
   // serve as the warm-start base exactly like an in-memory one.
-  ClosureCache cache(*schema, options, 64, nullptr, dir);
+  ClosureCache cache(*schema, options, 64, nullptr, OpenPack(pack));
   EXPECT_EQ(cache.LoadCacheSnapshot(), 1u);
   auto superset = cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(superset.ok());
@@ -273,7 +283,7 @@ TEST(SnapshotRoundtrip, LoadedSnapshotServesAsWarmBase) {
   EXPECT_EQ(cache.stats().warm_builds, 1u);
 
   // Same fact set as a cold run (the warm-start equivalence).
-  ClosureCache cold_cache(*schema, options, 64, nullptr);
+  ClosureCache cold_cache(*schema, options);
   auto cold = cold_cache.GetOrBuild(kFullRoots);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(superset.value()->closure->FactSetDigest(),
@@ -286,21 +296,24 @@ TEST(SnapshotRoundtrip, RetractedClosureSnapshotRoundtrips) {
   // tier must persist and replay it like any other entry.
   ScopedTempDir tmp("oodbsec_snapshot_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
+  const std::string pack = tmp.path() + "/cache.pack";
   auto schema = BrokerSchema();
   ClosureOptions options;
   const std::vector<std::string> reduced = {"checkBudget"};
 
-  ClosureCache saver(*schema, options, 64, nullptr, dir);
-  auto full = saver.GetOrBuild(kFullRoots);
-  ASSERT_TRUE(full.ok()) << full.status();
-  auto retracted = saver.RetractEntry(kFullRoots, reduced);
-  ASSERT_NE(retracted, nullptr);
-  ASSERT_TRUE(retracted->closure->retracted());
-  EXPECT_EQ(saver.stats().retract_builds, 1u);
-  ASSERT_TRUE(saver.SaveCacheSnapshot(*retracted).ok());
+  std::shared_ptr<const CachedAnalysis> retracted;
+  {
+    ClosureCache saver(*schema, options, 64, nullptr, OpenPack(pack));
+    auto full = saver.GetOrBuild(kFullRoots);
+    ASSERT_TRUE(full.ok()) << full.status();
+    retracted = saver.RetractEntry(kFullRoots, reduced);
+    ASSERT_NE(retracted, nullptr);
+    ASSERT_TRUE(retracted->closure->retracted());
+    EXPECT_EQ(saver.stats().retract_builds, 1u);
+    ASSERT_TRUE(saver.SaveCacheSnapshot(*retracted).ok());
+  }
 
-  ClosureCache loader(*schema, options, 64, nullptr, dir);
+  ClosureCache loader(*schema, options, 64, nullptr, OpenPack(pack));
   auto loaded = loader.FindSnapshot(reduced);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loader.stats().snapshot_hits, 1u);
@@ -314,16 +327,16 @@ TEST(SnapshotRoundtrip, RetractedClosureSnapshotRoundtrips) {
   EXPECT_EQ(loaded->closure->FactSetDigest(), cold.FactSetDigest());
 }
 
-TEST(SnapshotRoundtrip, OptionsChangeTheFileName) {
+TEST(SnapshotRoundtrip, OptionsChangeTheKey) {
   ClosureOptions a;
   ClosureOptions b;
   b.pi_join_to_ti = false;
-  EXPECT_NE(snapshot::SnapshotFileName(a, kFullRoots),
-            snapshot::SnapshotFileName(b, kFullRoots));
-  EXPECT_NE(snapshot::SnapshotFileName(a, kFullRoots),
-            snapshot::SnapshotFileName(a, {"checkBudget"}));
-  EXPECT_EQ(snapshot::SnapshotFileName(a, kFullRoots),
-            snapshot::SnapshotFileName(a, kFullRoots));
+  EXPECT_NE(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(b, kFullRoots));
+  EXPECT_NE(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(a, {"checkBudget"}));
+  EXPECT_EQ(snapshot::SnapshotKeyHash(a, kFullRoots),
+            snapshot::SnapshotKeyHash(a, kFullRoots));
 }
 
 // --- the cross-process fixture (ctest: snapshot_roundtrip) -----------
@@ -332,7 +345,7 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
   ASSERT_NE(g_argv0, nullptr);
   ScopedTempDir tmp("oodbsec_snapshot_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
+  const std::string pack = tmp.path() + "/cache.pack";
   Fleet fleet = MakeFleet();
 
   // In-process pass: run the audit cold, persist every closure, and
@@ -340,7 +353,7 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
   std::string expected;
   {
     service::AnalysisService svc(*fleet.schema, *fleet.users,
-                                 MakeServiceOptions(2, dir));
+                                 MakeServiceOptions(2, OpenPack(pack)));
     auto reports = svc.CheckBatch(fleet.sheet);
     ASSERT_TRUE(reports.ok()) << reports.status();
     ASSERT_TRUE(svc.SaveCacheSnapshot().ok());
@@ -350,7 +363,7 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
   }
 
   // Spawn a genuinely fresh process (fork + exec of this binary in
-  // worker mode) over the same directory and diff its reports.
+  // worker mode) over the same pack and diff its reports.
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   pid_t pid = ::fork();
@@ -359,7 +372,7 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
     ::dup2(fds[1], STDOUT_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
-    ::execl(g_argv0, g_argv0, "--snapshot-worker", dir.c_str(),
+    ::execl(g_argv0, g_argv0, "--snapshot-worker", pack.c_str(),
             static_cast<char*>(nullptr));
     ::_exit(127);  // exec failed
   }
@@ -383,194 +396,246 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
   EXPECT_EQ(output.substr(0, output.size() - marker.size()), expected);
 }
 
-// --- robustness: hostile bytes fall back to a cold build -------------
+// --- robustness: the v3 invalidation ladder, rung by rung ------------
+//
+// Every case damages the saved record the way its rung guards against,
+// then requires (a) DecodeEntry to refuse it with that rung's diagnosis
+// — so dropping the check fails the test — and (b) the record, written
+// back into the pack, to cost a counted fallback to a cold build
+// through the cache.
+
+uint32_t LoadU32At(const std::string& bytes, size_t offset) {
+  uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof v);
+  return v;
+}
+
+// Recomputes a record's payload checksum after a deliberate edit, so
+// only the rungs past the checksum can catch it.
+void Rechecksum(std::string& record) {
+  uint64_t checksum = snapshot::Fnv1a64(
+      std::string_view(record).substr(snapshot::kEntryHeaderSize));
+  std::memcpy(record.data() + 24, &checksum, sizeof checksum);
+}
 
 class SnapshotRobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(tmp_.ok());
-    dir_ = tmp_.path();
+    pack_ = tmp_.path() + "/cache.pack";
     schema_ = BrokerSchema();
-    ClosureCache saver(*schema_, options_, 64, nullptr, dir_);
+    ClosureCache saver(*schema_, options_, 64, nullptr, OpenPack(pack_));
     auto built = saver.GetOrBuild(kFullRoots);
     ASSERT_TRUE(built.ok());
     reference_digest_ = built.value()->closure->FactSetDigest();
     ASSERT_TRUE(saver.SaveCacheSnapshot(*built.value()).ok());
-    path_ = SnapshotPath(dir_, options_, kFullRoots);
+    record_ = snapshot::BuildEntryBytes(*schema_, options_, *built.value());
+    ASSERT_GT(record_.size(), snapshot::kEntryHeaderSize + 64);
   }
 
+  // DecodeEntry must refuse `record` with a diagnosis naming `rung`.
+  void ExpectRefused(const std::string& record, std::string_view rung) {
+    auto decoded = snapshot::DecodeEntry(*schema_, options_, "test", record);
+    ASSERT_FALSE(decoded.ok()) << "accepted a record damaged at: " << rung;
+    EXPECT_EQ(decoded.status().code(),
+              common::StatusCode::kFailedPrecondition);
+    EXPECT_NE(decoded.status().message().find(rung), std::string::npos)
+        << decoded.status();
+  }
 
-  // The invariant all corruption cases share: the probe rejects the
-  // file (counted invalid, no crash) and GetOrBuild still serves the
-  // right answer via a cold build.
-  void ExpectCountedFallback() {
-    ClosureCache cache(*schema_, options_, 64, nullptr, dir_);
+  // Rewrites the pack with `record` as its one entry, behind an intact
+  // header, record frame, index and trailer — the shape of a record
+  // that rotted on disk after its footer was written. The index keeps
+  // the saved record's key and generation stamp.
+  void WriteRecord(const std::string& record) {
+    const std::string pack = ReadFileBytes(pack_);
+    ASSERT_GE(pack.size(), 32u + 16u + 32u);
+    const uint64_t key = snapshot::SnapshotKeyHash(options_, kFullRoots);
+    const uint64_t fingerprint =
+        snapshot::SchemaFingerprint(*schema_, options_);
+    uint64_t checksum = 0;
+    if (record.size() >= snapshot::kEntryHeaderSize) {
+      std::memcpy(&checksum, record.data() + 24, sizeof checksum);
+    }
+    snapshot::ByteWriter out;
+    out.PutFixedString(std::string_view(pack).substr(0, 32));  // header
+    out.PutU64(key);
+    out.PutU64(record.size());
+    out.PutFixedString(record);
+    out.PutFixedString(std::string((8 - record.size() % 8) % 8, '\0'));
+    const uint64_t index_offset = out.buffer().size();
+    snapshot::ByteWriter index;
+    index.PutU64(key);
+    index.PutU64(32);  // the record's offset
+    index.PutU64(record.size());
+    index.PutU64(fingerprint);
+    index.PutU64(checksum);
+    out.PutFixedString(index.buffer());
+    out.PutU64(index_offset);
+    out.PutU64(1);
+    out.PutU64(snapshot::Fnv1a64(index.buffer()));
+    out.PutFixedString(snapshot::kPackIndexMagic);
+    WriteFileBytes(pack_, out.buffer());
+  }
+
+  // The invariant all damage shares: the probe rejects the record
+  // (counted — as invalid when the record reaches the decoder, as a
+  // miss when the pack's own recovery already dropped it) and
+  // GetOrBuild still serves the right answer via a cold build.
+  void ExpectCountedFallback(bool reaches_decoder = true) {
+    ClosureCache cache(*schema_, options_, 64, nullptr, OpenPack(pack_));
     EXPECT_EQ(cache.FindSnapshot(kFullRoots), nullptr);
-    EXPECT_EQ(cache.stats().snapshot_invalid, 1u);
+    EXPECT_EQ(cache.stats().snapshot_invalid, reaches_decoder ? 1u : 0u);
+    EXPECT_EQ(cache.stats().snapshot_misses, reaches_decoder ? 0u : 1u);
     auto rebuilt = cache.GetOrBuild(kFullRoots);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-    EXPECT_EQ(cache.stats().snapshot_invalid, 2u);
     EXPECT_EQ(cache.stats().cold_builds, 1u);
     EXPECT_FALSE(rebuilt.value()->closure->warm_started());
     EXPECT_EQ(rebuilt.value()->closure->FactSetDigest(), reference_digest_);
   }
 
+  // Refused by the decoder, then a counted fallback from the pack.
+  void ExpectLadderFallback(const std::string& record, std::string_view rung,
+                            bool reaches_decoder = true) {
+    ExpectRefused(record, rung);
+    WriteRecord(record);
+    ExpectCountedFallback(reaches_decoder);
+  }
+
+  // Payload offsets of the digest string's bytes and of the PackedStep
+  // array, read from the record's own prefix.
+  size_t DigestOffset() const {
+    size_t pos = snapshot::kEntryHeaderSize;
+    const uint32_t roots = LoadU32At(record_, pos);
+    pos += 4;
+    for (uint32_t i = 0; i < roots; ++i) pos += 4 + LoadU32At(record_, pos);
+    return pos + 4;  // past the digest's length prefix
+  }
+  size_t StepsOffset() const {
+    size_t pos = DigestOffset() - 4;
+    pos += 4 + LoadU32At(record_, pos);  // digest
+    const uint32_t rules = LoadU32At(record_, pos);
+    pos += 4;
+    for (uint32_t i = 0; i < rules; ++i) pos += 4 + LoadU32At(record_, pos);
+    const uint32_t steps_rel = LoadU32At(record_, pos + 8);
+    return snapshot::kEntryHeaderSize + steps_rel;
+  }
+
   ScopedTempDir tmp_{"oodbsec_snapshot_test"};
-  std::string dir_;
-  std::string path_;
+  std::string pack_;
   std::unique_ptr<schema::Schema> schema_;
   ClosureOptions options_;
   std::string reference_digest_;
+  std::string record_;
 };
 
-TEST_F(SnapshotRobustnessTest, MissingFileIsAMissNotAnError) {
-  ClosureCache cache(*schema_, options_, 64, nullptr, dir_);
+TEST_F(SnapshotRobustnessTest, IntactRecordDecodesAndReplays) {
+  // The control: the rewritten pack and the bare codec both serve the
+  // saved closure, so every refusal below is the damage's doing.
+  auto decoded = snapshot::DecodeEntry(*schema_, options_, "test", record_);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded.value()->closure->FactSetDigest(), reference_digest_);
+  WriteRecord(record_);
+  ClosureCache cache(*schema_, options_, 64, nullptr, OpenPack(pack_));
+  EXPECT_NE(cache.FindSnapshot(kFullRoots), nullptr);
+  EXPECT_EQ(cache.stats().snapshot_hits, 1u);
+}
+
+TEST_F(SnapshotRobustnessTest, MissingRecordIsAMissNotAnError) {
+  ClosureCache cache(*schema_, options_, 64, nullptr, OpenPack(pack_));
   EXPECT_EQ(cache.FindSnapshot({"calcSalary"}), nullptr);
   EXPECT_EQ(cache.stats().snapshot_misses, 1u);
   EXPECT_EQ(cache.stats().snapshot_invalid, 0u);
 }
 
 TEST_F(SnapshotRobustnessTest, TruncatedHeader) {
-  WriteFileBytes(path_, ReadFileBytes(path_).substr(0, 12));
-  ExpectCountedFallback();
+  // The pack's record scan drops a record too short for its header, so
+  // the store sees a miss; the decoder refuses it outright.
+  ExpectLadderFallback(record_.substr(0, 12), "not a snapshot record",
+                       /*reaches_decoder=*/false);
 }
 
 TEST_F(SnapshotRobustnessTest, TruncatedPayloadBreaksChecksum) {
-  std::string bytes = ReadFileBytes(path_);
-  WriteFileBytes(path_, bytes.substr(0, bytes.size() / 2));
-  ExpectCountedFallback();
+  ExpectLadderFallback(record_.substr(0, record_.size() / 2),
+                       "checksum mismatch");
 }
 
 TEST_F(SnapshotRobustnessTest, TruncatedPayloadWithRecomputedChecksum) {
   // The deeper case: the payload is cut short but the checksum is made
-  // consistent again, so only the bounds-checked decoder can catch it.
-  std::string bytes = ReadFileBytes(path_);
-  constexpr size_t kHeaderSize = 32;  // magic 8 | u32 ×2 | u64 ×2
-  ASSERT_GT(bytes.size(), kHeaderSize + 64);
-  bytes.resize(bytes.size() - 33);
-  uint64_t checksum =
-      snapshot::Fnv1a64(std::string_view(bytes).substr(kHeaderSize));
-  std::memcpy(bytes.data() + 24, &checksum, sizeof checksum);
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
+  // consistent again, so only the bounds-checked geometry can catch it.
+  std::string record = record_;
+  record.resize(record.size() - 33);
+  Rechecksum(record);
+  ExpectLadderFallback(record, "geometry");
 }
 
 TEST_F(SnapshotRobustnessTest, FlippedPayloadByteBreaksChecksum) {
-  std::string bytes = ReadFileBytes(path_);
-  bytes[bytes.size() - 5] ^= 0x41;
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
+  std::string record = record_;
+  record[record.size() - 5] ^= 0x41;
+  ExpectLadderFallback(record, "checksum mismatch");
 }
 
-TEST_F(SnapshotRobustnessTest, WrongFormatVersion) {
-  std::string bytes = ReadFileBytes(path_);
-  bytes[8] ^= 0x7f;  // the u32 version lives at bytes 8..11
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
+TEST_F(SnapshotRobustnessTest, WrongMagicOrFormatVersion) {
+  std::string magic = record_;
+  magic[0] ^= 0x20;  // "oODBSNAP"
+  ExpectRefused(magic, "not a snapshot record");
+  std::string version = record_;
+  version[8] ^= 0x7f;  // the u32 version lives at bytes 8..11
+  ExpectLadderFallback(version, "record version");
 }
 
 TEST_F(SnapshotRobustnessTest, WrongSchemaFingerprintBytes) {
-  std::string bytes = ReadFileBytes(path_);
-  bytes[16] ^= 0x7f;  // the u64 fingerprint lives at bytes 16..23
-  WriteFileBytes(path_, bytes);
-  ExpectCountedFallback();
+  std::string record = record_;
+  record[16] ^= 0x7f;  // the u64 fingerprint lives at bytes 16..23
+  ExpectLadderFallback(record, "schema fingerprint mismatch");
 }
 
-// Rewrites a native snapshot as the byte-identical twin a machine of
-// the opposite endianness would have written: every multi-byte integer
-// field — header and payload, walked structure-aware — is reversed in
-// place, string bytes stay untouched, and the checksum is recomputed
-// over the new payload bytes and stored swapped (a foreign writer
-// checksums *its* payload bytes and stores the u64 in *its* order).
-std::string SwapSnapshotEndianness(const std::string& bytes) {
-  std::string out = bytes;
-  size_t pos = 8;  // past "OODBSNAP"
-  auto swap32 = [&out](size_t off) {
-    std::reverse(out.begin() + static_cast<ptrdiff_t>(off),
-                 out.begin() + static_cast<ptrdiff_t>(off + 4));
-  };
-  auto swap64 = [&out](size_t off) {
-    std::reverse(out.begin() + static_cast<ptrdiff_t>(off),
-                 out.begin() + static_cast<ptrdiff_t>(off + 8));
-  };
-  // Field values must be read *before* their bytes are reversed.
-  auto u32_at = [&out](size_t off) {
-    uint32_t v = 0;
-    std::memcpy(&v, out.data() + off, sizeof v);
-    return v;
-  };
-  swap32(pos), pos += 4;  // version
-  swap32(pos), pos += 4;  // byte-order marker
-  swap64(pos), pos += 8;  // schema fingerprint
-  const size_t checksum_at = pos;
-  pos += 8;  // checksum: rewritten below over the swapped payload
-  const size_t payload_start = pos;
-  auto swap_count = [&]() {
-    uint32_t count = u32_at(pos);
-    swap32(pos), pos += 4;
-    return count;
-  };
-  auto swap_string = [&]() { pos += swap_count(); };
-  for (uint32_t n = swap_count(); n > 0; --n) swap_string();  // roots
-  swap_string();                                              // digest
-  for (uint32_t n = swap_count(); n > 0; --n) swap_string();  // rules
-  for (uint32_t n = swap_count(); n > 0; --n) {               // steps
-    pos += 1;               // kind u8
-    swap32(pos), pos += 4;  // a
-    swap32(pos), pos += 4;  // b
-    swap32(pos), pos += 4;  // origin.num
-    pos += 1;               // origin.dir u8
-    swap32(pos), pos += 4;  // rule index
-    swap32(pos), pos += 4;  // premise offset
-    swap32(pos), pos += 4;  // premise count
-  }
-  for (uint32_t n = swap_count(); n > 0; --n) {  // premise arena
-    swap32(pos), pos += 4;
-  }
-  EXPECT_EQ(pos, out.size());
-  uint64_t checksum = snapshot::Bswap64(
-      snapshot::Fnv1a64(std::string_view(out).substr(payload_start)));
-  std::memcpy(out.data() + checksum_at, &checksum, sizeof checksum);
-  return out;
-}
-
-TEST_F(SnapshotRobustnessTest, ForeignEndianSnapshotDecodesBySwapping) {
-  // A snapshot written on a machine of the opposite endianness is not
-  // corruption: the mirrored marker arms the reader's swap-decode and
-  // the full ladder (fingerprint, checksum, structure, digest) runs on
-  // the decoded values. The replayed closure is byte-identical to the
-  // native one.
-  WriteFileBytes(path_, SwapSnapshotEndianness(ReadFileBytes(path_)));
-  auto load = snapshot::LoadSnapshot(*schema_, options_, path_);
-  ASSERT_TRUE(load.ok()) << load.status();
-  EXPECT_EQ(load.value()->roots, kFullRoots);
-  EXPECT_EQ(load.value()->closure->FactSetDigest(), reference_digest_);
-  ClosureCache cache(*schema_, options_, 64, nullptr, dir_);
-  EXPECT_NE(cache.FindSnapshot(kFullRoots), nullptr);
-  EXPECT_EQ(cache.stats().snapshot_hits, 1u);
-  EXPECT_EQ(cache.stats().snapshot_invalid, 0u);
+TEST_F(SnapshotRobustnessTest, ForeignEndianRecordIsRefused) {
+  // The header a machine of the opposite endianness writes: every
+  // integer field mirrored. Replay aliases raw structs, so a foreign
+  // record is refused — diagnosed as foreign, before its (mirrored)
+  // version could be misread as corruption.
+  std::string record = record_;
+  std::reverse(record.begin() + 8, record.begin() + 12);   // version
+  std::reverse(record.begin() + 12, record.begin() + 16);  // marker
+  std::reverse(record.begin() + 16, record.begin() + 24);  // fingerprint
+  std::reverse(record.begin() + 24, record.begin() + 32);  // checksum
+  ExpectLadderFallback(record, "foreign-endian");
 }
 
 TEST_F(SnapshotRobustnessTest, CorruptByteOrderMarkerIsRefused) {
   // A marker that is neither the native constant nor its mirror is
   // corruption, not foreignness — refused before any payload decode.
-  std::string bytes = ReadFileBytes(path_);
-  bytes[12] ^= 0x40;  // u32 marker lives at bytes 12..15
-  WriteFileBytes(path_, bytes);
-  auto load = snapshot::LoadSnapshot(*schema_, options_, path_);
-  ASSERT_FALSE(load.ok());
-  EXPECT_EQ(load.status().code(), common::StatusCode::kFailedPrecondition);
-  EXPECT_NE(load.status().message().find("byte-order"), std::string::npos)
-      << load.status();
-  ExpectCountedFallback();
+  std::string record = record_;
+  record[12] ^= 0x40;  // u32 marker lives at bytes 12..15
+  ExpectLadderFallback(record, "corrupt byte-order marker");
+}
+
+TEST_F(SnapshotRobustnessTest, StructuralDamageIsRefused) {
+  // A checksum-consistent record whose first step names an occurrence
+  // the re-unfolded root list does not have.
+  std::string record = record_;
+  const int32_t bogus = 1 << 30;
+  std::memcpy(record.data() + StepsOffset(), &bogus, sizeof bogus);  // a
+  Rechecksum(record);
+  ExpectLadderFallback(record, "occurrence id out of range");
+}
+
+TEST_F(SnapshotRobustnessTest, DigestMismatchIsRefused) {
+  // A well-formed log whose stored fact-set digest disagrees with what
+  // it replays to: the last line of defence against rule drift.
+  std::string record = record_;
+  record[DigestOffset()] ^= 0x01;
+  Rechecksum(record);
+  ExpectLadderFallback(record, "fact-set digest mismatch");
 }
 
 TEST_F(SnapshotRobustnessTest, SchemaDriftInvalidatesTheSnapshot) {
-  // A real schema change (extra attribute) under the same file name:
-  // the fingerprint check must reject and the cache must rebuild
-  // against the *new* schema.
+  // A real schema change (extra attribute) under the same key: the
+  // fingerprint check must reject and the cache must rebuild against
+  // the *new* schema.
   auto drifted = DriftedBrokerSchema();
-  ClosureCache cache(*drifted, options_, 64, nullptr, dir_);
+  ClosureCache cache(*drifted, options_, 64, nullptr, OpenPack(pack_));
   EXPECT_EQ(cache.FindSnapshot(kFullRoots), nullptr);
   EXPECT_EQ(cache.stats().snapshot_invalid, 1u);
   auto rebuilt = cache.GetOrBuild(kFullRoots);
@@ -579,12 +644,12 @@ TEST_F(SnapshotRobustnessTest, SchemaDriftInvalidatesTheSnapshot) {
 }
 
 TEST_F(SnapshotRobustnessTest, DirectLoadReportsNotFoundDistinctly) {
-  auto missing = snapshot::LoadSnapshot(*schema_, options_,
-                                        common::StrCat(dir_, "/absent.snap"));
+  auto store = OpenPack(pack_);
+  ASSERT_NE(store, nullptr);
+  auto missing = store->Find(*schema_, options_, {"calcSalary"});
   EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
-  std::string garbage_path = common::StrCat(dir_, "/garbage.snap");
-  WriteFileBytes(garbage_path, "definitely not a snapshot");
-  auto garbage = snapshot::LoadSnapshot(*schema_, options_, garbage_path);
+  auto garbage = snapshot::DecodeEntry(*schema_, options_, "test",
+                                       "definitely not a snapshot");
   EXPECT_EQ(garbage.status().code(),
             common::StatusCode::kFailedPrecondition);
 }
@@ -613,6 +678,45 @@ TEST(ShardTest, ShardOfIsStableAndInRange) {
       service::ShardOf(service::CapabilitySignature(*fleet.schema, *a, {}), 4),
       service::ShardOf(service::CapabilitySignature(*fleet.schema, *b, {}),
                        4));
+}
+
+// Counts how 64 signatures, the dept-th built from `root_of(dept)`,
+// spread over 2 and over 4 shards.
+template <typename RootsOf>
+void ExpectSpread(RootsOf roots_of) {
+  std::vector<int> two(2, 0);
+  std::vector<int> four(4, 0);
+  for (int dept = 0; dept < 64; ++dept) {
+    std::string signature = service::SignatureFromRoots(roots_of(dept), {});
+    ++two[static_cast<size_t>(service::ShardOf(signature, 2))];
+    ++four[static_cast<size_t>(service::ShardOf(signature, 4))];
+  }
+  for (int count : two) EXPECT_GE(count, 16);
+  for (int count : four) EXPECT_GE(count, 8);
+}
+
+TEST(ShardTest, ShardOfSpreadsSignaturesDifferingInARepeatedNumber) {
+  // Signatures that differ only in a department number repeated in
+  // every root: FNV-1a's low bits see each digit's low bits four times,
+  // so a modulo partitioner lands all 64 on one worker.
+  ExpectSpread([](int dept) {
+    std::vector<std::string> roots;
+    for (const char* root :
+         {"checkBudget_d", "r_budget_d", "w_budget_d", "w_profit_d"}) {
+      roots.push_back(common::StrCat(root, dept));
+    }
+    return roots;
+  });
+}
+
+TEST(ShardTest, ShardOfSpreadsSignaturesDifferingInATrailingNumber) {
+  // Signatures that differ only in their last root's number: FNV-1a's
+  // last bytes never reach the hash's high word, so reducing by the
+  // high bits alone lands all 64 on one worker.
+  ExpectSpread([](int dept) {
+    return std::vector<std::string>{"r_name",
+                                    common::StrCat("w_budget", dept)};
+  });
 }
 
 TEST(ShardTest, ShardedBatchMatchesSingleProcessByteForByte) {
@@ -660,6 +764,16 @@ TEST(ShardTest, SingleShardAndManyShardsAgree) {
   }
 }
 
+TEST(ShardTest, WorkerThreadsOtherThanOneAreRejected) {
+  Fleet fleet = MakeFleet();
+  service::ShardOptions options;
+  options.threads = 2;
+  auto sharded = service::RunShardedBatch(*fleet.schema, *fleet.users,
+                                          fleet.sheet, options);
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_EQ(sharded.status().code(), common::StatusCode::kInvalidArgument);
+}
+
 TEST(ShardTest, UnknownUserErrorMatchesCheckBatch) {
   Fleet fleet = MakeFleet();
   auto ghost = core::ParseRequirementString("(ghost, r_salary(x) : ti)");
@@ -685,11 +799,10 @@ TEST(ShardTest, UnknownUserErrorMatchesCheckBatch) {
 TEST(ShardTest, ShardedWorkersShareTheSnapshotTier) {
   ScopedTempDir tmp("oodbsec_snapshot_test");
   ASSERT_TRUE(tmp.ok());
-  const std::string& dir = tmp.path();
   Fleet fleet = MakeFleet();
   service::ShardOptions options;
   options.shard_count = 4;
-  options.snapshot_dir = dir;
+  options.snapshot_store = OpenPack(tmp.path() + "/cache.pack");
   options.save_snapshots = true;
 
   auto cold = service::RunShardedBatch(*fleet.schema, *fleet.users,
@@ -712,11 +825,11 @@ TEST(ShardTest, ShardedWorkersShareTheSnapshotTier) {
 }  // namespace
 
 // Worker mode for the cross-process fixture: audit the fleet against a
-// snapshot directory and print reports + a stats marker.
-int RunSnapshotWorker(const std::string& dir) {
+// packed store and print reports + a stats marker.
+int RunSnapshotWorker(const std::string& pack) {
   Fleet fleet = MakeFleet();
   service::AnalysisService svc(*fleet.schema, *fleet.users,
-                               MakeServiceOptions(2, dir));
+                               MakeServiceOptions(2, OpenPack(pack)));
   auto reports = svc.CheckBatch(fleet.sheet);
   if (!reports.ok()) {
     std::fprintf(stderr, "%s\n", reports.status().ToString().c_str());

@@ -22,7 +22,7 @@
 // death mid-message.
 //
 // Writing uses the gather path: header and payload go out in one
-// writev from their own buffers (WriteFrame never concatenates), so the
+// send from their own buffers (WriteFrame never concatenates), so the
 // coordinator streams report-sized payloads straight out of the
 // ByteWriter buffers they were serialized into.
 #ifndef OODBSEC_NET_FRAME_H_
@@ -77,10 +77,10 @@ struct Frame {
 
 // Renders the 20-byte header for a payload (exposed so a sender that
 // owns its own iovec batching — the pipelined coordinator — can gather
-// many frames into one writev).
+// many frames into one send).
 std::string EncodeFrameHeader(FrameType type, std::string_view payload);
 
-// Gather-writes header + payload in one writev (payload bytes are never
+// Gather-writes header + payload in one send (payload bytes are never
 // copied into a combined buffer). Blocking or nonblocking fd; the
 // poll deadline bounds every stall.
 common::Status WriteFrame(int fd, FrameType type, std::string_view payload,

@@ -218,26 +218,22 @@ bool ReadFullTimeout(int fd, void* buf, size_t n, int timeout_ms) {
 }
 
 bool WriteFullTimeout(int fd, const void* buf, size_t n, int timeout_ms) {
-  const char* in = static_cast<const char*>(buf);
-  size_t off = 0;
-  while (off < n) {
-    ssize_t put = ::write(fd, in + off, n - off);
-    if (put >= 0) {
-      off += static_cast<size_t>(put);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
-    if (PollOne(fd, POLLOUT, timeout_ms) <= 0) return false;
-  }
-  return true;
+  struct iovec iov = {const_cast<void*>(buf), n};
+  return WritevFullTimeout(fd, &iov, 1, timeout_ms);
+}
+
+ssize_t Sendv(int fd, const struct iovec* iov, int iovcnt) {
+  struct msghdr msg = {};
+  msg.msg_iov = const_cast<struct iovec*>(iov);
+  msg.msg_iovlen = static_cast<size_t>(iovcnt);
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 bool WritevFullTimeout(int fd, struct iovec* iov, int iovcnt,
                        int timeout_ms) {
   int first = 0;
   while (first < iovcnt) {
-    ssize_t put = ::writev(fd, iov + first, iovcnt - first);
+    ssize_t put = Sendv(fd, iov + first, iovcnt - first);
     if (put < 0) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) return false;

@@ -13,9 +13,14 @@
 //   * Short-op discipline. The *FullTimeout helpers loop over partial
 //     reads/writes and EINTR under the poll bound — stream fds deliver
 //     short transfers routinely. WritevFullTimeout is the gather
-//     path: frame header and payload go out in one writev from their
+//     path: frame header and payload go out in one send from their
 //     own buffers, so a frame is never re-copied into a combined
 //     buffer just to be sent.
+//   * No SIGPIPE. Every write here is a send with MSG_NOSIGNAL, so a
+//     peer that died (a killed worker, a coordinator gone mid-reply)
+//     surfaces as a failed call the caller re-queues or drops, never
+//     as a signal that kills the writing process. The helpers are for
+//     sockets only.
 //
 // Dialing retries transient failures (ECONNREFUSED while a worker is
 // still binding, timeouts) with a bounded attempt count and backoff —
@@ -24,6 +29,8 @@
 // service/tcp_shard.cc.
 #ifndef OODBSEC_NET_SOCKET_H_
 #define OODBSEC_NET_SOCKET_H_
+
+#include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -106,6 +113,11 @@ bool WriteFullTimeout(int fd, const void* buf, size_t n, int timeout_ms);
 // track progress), looping short writes, EINTR, and the poll deadline.
 bool WritevFullTimeout(int fd, struct iovec* iov, int iovcnt,
                        int timeout_ms);
+
+// One gather send with MSG_NOSIGNAL: sendmsg's result and errno (EPIPE
+// or ECONNRESET for a dead peer, EAGAIN when a nonblocking socket is
+// full). The nonblocking coordinator pump drains its outbox with it.
+ssize_t Sendv(int fd, const struct iovec* iov, int iovcnt);
 
 // Single poll for readability. >0 readable, 0 timeout, <0 error/hup.
 int WaitReadable(int fd, int timeout_ms);

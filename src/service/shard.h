@@ -7,8 +7,10 @@
 // of partitioning is the *capability signature* (the service's cache
 // key, capability_signature.h), not the user — all requirements whose
 // users share a grant bundle land on the same worker, so each distinct
-// fixpoint is computed exactly once across the whole fleet, and the
-// partition is a pure function of the signature string (ShardOf).
+// fixpoint is computed exactly once across the whole fleet. A
+// signature goes to its ShardOf worker, a pure function of the
+// signature string, unless that worker already holds its fair share of
+// the requirements (see TcpTransport's plan).
 //
 // The fork transport is the TCP transport (service/tcp_shard.h) with a
 // fleet of forked children: RunShardedBatch binds shard_count loopback
@@ -92,9 +94,9 @@ struct ShardedBatchResult {
   std::vector<size_t> shard_requirements;
 };
 
-// The stable partitioner. shard_count must be >= 1; the result is in
-// [0, shard_count). Pure function of the bytes of `signature` — stable
-// across processes, runs, and machines.
+// A signature's preferred worker. shard_count must be >= 1; the result
+// is in [0, shard_count). Pure function of the bytes of `signature` —
+// stable across processes, runs, and machines.
 int ShardOf(std::string_view signature, int shard_count);
 
 // Forks options.shard_count workers, audits `requirements` on them
@@ -106,15 +108,14 @@ common::Result<ShardedBatchResult> RunShardedBatch(
     const std::vector<core::Requirement>& requirements,
     const ShardOptions& options, obs::Observability* obs = nullptr);
 
-// RunShardedBatch with its options bound, the process-model twin of
-// TcpTransport for audit code that picks a transport by name. Carries
+// RunShardedBatch with its options bound, so audit code can hold a
+// fork fleet's configuration the way it holds a TcpTransport. Carries
 // the fork() caveat above: Run() must be called from a single-threaded
 // process image.
 class ForkTransport {
  public:
   explicit ForkTransport(ShardOptions options)
       : options_(std::move(options)) {}
-  std::string_view name() const { return "fork"; }
   common::Result<ShardedBatchResult> Run(
       const schema::Schema& schema, const schema::UserRegistry& users,
       const std::vector<core::Requirement>& requirements,

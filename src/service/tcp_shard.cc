@@ -114,7 +114,7 @@ struct Batch {
   std::shared_ptr<const std::string> payload;
 };
 
-// A frame staged for writev gather: header and payload stay in their
+// A frame staged for a gather send: header and payload stay in their
 // own buffers; `offset` tracks partial progress across both.
 struct PendingFrame {
   std::string header;
@@ -157,8 +157,8 @@ void EnqueueFrame(WorkerConn& w, FrameType type,
   w.outbox.push_back(std::move(frame));
 }
 
-// Drains as much of the outbox as the socket accepts, 8 frames per
-// writev. Returns false when the socket is dead.
+// Drains as much of the outbox as the socket accepts, 7 frames per
+// gather send. Returns false when the socket is dead.
 bool DrainOutbox(WorkerConn& w, uint64_t* bytes_out) {
   while (!w.outbox.empty()) {
     struct iovec iov[16];
@@ -182,7 +182,7 @@ bool DrainOutbox(WorkerConn& w, uint64_t* bytes_out) {
         ++iovcnt;
       }
     }
-    ssize_t n = ::writev(w.sock.fd(), iov, iovcnt);
+    ssize_t n = net::Sendv(w.sock.fd(), iov, iovcnt);
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno == EAGAIN || errno == EWOULDBLOCK;
@@ -279,8 +279,8 @@ bool HandleWorkerFrame(WorkerConn& w, FrameType type,
 }
 
 // Reads everything the socket has, reassembles frames from the inbox,
-// dispatches them. Returns false when the worker died (EOF, error,
-// torn or garbage frame, protocol violation).
+// dispatches them. Returns false when the worker died (EOF before its
+// kStats frame, error, torn or garbage frame, protocol violation).
 bool DrainInbox(WorkerConn& w, CoordinatorState& state, uint64_t* bytes_in,
                 uint64_t* frames_in) {
   bool saw_eof = false;
@@ -327,7 +327,8 @@ bool DrainInbox(WorkerConn& w, CoordinatorState& state, uint64_t* bytes_in,
     pos += net::kFrameHeaderSize + length;
   }
   w.inbox.erase(0, pos);
-  return ok && !saw_eof;
+  // A hangup after the kStats frame is the worker's clean goodbye.
+  return ok && (!saw_eof || w.stats_received);
 }
 
 }  // namespace
@@ -396,10 +397,27 @@ common::Result<ShardedBatchResult> TcpTransport::Run(
       }
       groups[it->second].indices.push_back(i);
     }
-    const int worker_count = static_cast<int>(options_.workers.size());
+    // Each signature goes to its ShardOf worker (a pure function of the
+    // signature, so persistent worker caches stay warm from run to run)
+    // unless that worker already holds its fair share of the
+    // requirements; then it goes to the least-loaded worker. A handful
+    // of signatures, which ShardOf alone splits like coin flips, still
+    // spreads evenly, and an unchanged population plans identically.
+    const size_t worker_count = options_.workers.size();
+    size_t planned = 0;
+    for (const Group& group : groups) planned += group.indices.size();
+    const size_t fair_share = (planned + worker_count - 1) / worker_count;
+    std::vector<size_t> load(worker_count, 0);
     for (const Group& group : groups) {
-      const size_t target =
-          static_cast<size_t>(ShardOf(group.signature, worker_count));
+      size_t target = static_cast<size_t>(
+          ShardOf(group.signature, static_cast<int>(worker_count)));
+      if (load[target] != 0 &&
+          load[target] + group.indices.size() > fair_share) {
+        for (size_t wi = 0; wi < worker_count; ++wi) {
+          if (load[wi] < load[target]) target = wi;
+        }
+      }
+      load[target] += group.indices.size();
       for (size_t begin = 0; begin < group.indices.size();
            begin += batch_cap) {
         const size_t end =
@@ -963,7 +981,11 @@ common::Status ServeShardWorker(net::Listener& listener,
     // buffered and flush in one write when the stream drains — the
     // reply-side syscall amortization matching the reader's. Lockstep
     // coordinators never stream ahead, so they still get one write per
-    // batch, immediately.
+    // batch, immediately. A batch that missed the L1 cache (a fixpoint
+    // or a store fetch) flushes at once: the write is free next to it,
+    // and the acks let the coordinator refill its window while this
+    // worker works through the frames it already holds, instead of
+    // idling a round trip every max_in_flight batches.
     std::string pending_replies;
     auto flush_replies = [&]() {
       if (pending_replies.empty()) return true;
@@ -982,12 +1004,16 @@ common::Status ServeShardWorker(net::Listener& listener,
       if (frame.type == FrameType::kBatch) {
         FrameType reply_type = FrameType::kReports;
         std::string reply;
+        const uint64_t misses =
+            audit.stats.closures_built + audit.stats.snapshot_hits;
         if (!ProcessBatch(frame.payload, audit, &reply_type, &reply).ok()) {
           break;
         }
         pending_replies += net::EncodeFrameHeader(reply_type, reply);
         pending_replies += reply;
-        if ((!reader.more_buffered() ||
+        const bool missed =
+            audit.stats.closures_built + audit.stats.snapshot_hits != misses;
+        if ((missed || !reader.more_buffered() ||
              pending_replies.size() >= (256u << 10)) &&
             !flush_replies()) {
           break;

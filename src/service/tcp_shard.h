@@ -16,15 +16,18 @@
 //     its socket buffer instead of idling a round trip plus the
 //     coordinator's service latency. The coordinator pumps every
 //     worker from one poll() loop over nonblocking sockets: a
-//     per-worker outbox of encoded frames drains through writev
-//     gather (header and payload from their own buffers — bytes are
+//     per-worker outbox of encoded frames drains through gather
+//     sends (header and payload from their own buffers — bytes are
 //     serialized exactly once), a per-worker inbox reassembles frames
 //     from whatever read() delivered.
 //   * Batch coalescing. Requirements sharing a capability signature
 //     collapse into one batch (split at max_batch_requirements), so a
 //     signature's closure crosses the planning path once per worker;
-//     all chunks of a signature route to one worker (ShardOf) for
-//     cache affinity.
+//     all chunks of a signature route to one worker. That worker is
+//     the signature's ShardOf worker, for cache affinity across runs,
+//     unless it already holds its fair share (ceil(requirements /
+//     workers)) — then the least-loaded one, so a handful of
+//     signatures still spreads evenly.
 //   * Connection reuse. One connection per worker per Run; workers
 //     keep their L1 closure cache across connections (persistent_cache)
 //     so a warmed fleet answers repeat audits at exact-hit speed.
@@ -64,7 +67,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -116,7 +118,6 @@ class TcpTransport {
   explicit TcpTransport(TcpTransportOptions options);
   ~TcpTransport();
 
-  std::string_view name() const { return "tcp"; }
   common::Result<ShardedBatchResult> Run(
       const schema::Schema& schema, const schema::UserRegistry& users,
       const std::vector<core::Requirement>& requirements,

@@ -52,6 +52,24 @@ inline constexpr uint32_t Bswap32(uint32_t v) {
          (v << 24);
 }
 
+// Unaligned host-order loads from raw record and pack bytes, and the
+// 8-byte alignment both layouts pad their records to.
+inline uint64_t LoadU64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline uint32_t LoadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline constexpr uint64_t AlignUp8(uint64_t v) {
+  return (v + 7) & ~uint64_t{7};
+}
+
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}

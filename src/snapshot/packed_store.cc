@@ -27,23 +27,9 @@ constexpr uint64_t kRecordHeaderSize = 16;  // key u64 + entry length u64
 constexpr uint64_t kIndexEntrySize = 40;
 constexpr uint64_t kTrailerSize = 32;
 
-uint64_t AlignUp8(uint64_t v) { return (v + 7) & ~uint64_t{7}; }
-
 common::Status PackError(std::string_view path, std::string_view what) {
   return common::FailedPreconditionError(
       common::StrCat("pack ", path, ": ", what));
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
 // A live record as the in-memory index sees it: the far pointer

@@ -17,20 +17,6 @@ namespace oodbsec::snapshot {
 
 namespace {
 
-uint64_t AlignUp8(uint64_t v) { return (v + 7) & ~uint64_t{7}; }
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
 std::string OptionBits(const core::ClosureOptions& o) {
   std::string bits;
   bits.push_back(o.same_type_argument_equality ? '1' : '0');

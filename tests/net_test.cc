@@ -1,14 +1,18 @@
 // Distributed-transport tests: the frame codec's robustness contract,
-// the TCP shard transport's byte-identity triangle against fork and
-// single-process CheckBatch, worker-death re-queue, the fork
-// transport's process lifecycle, and the networked snapshot tier.
+// signal-free writes to vanished peers, the TCP shard transport's
+// byte-identity triangle against fork and single-process CheckBatch,
+// worker-death re-queue, the fork transport's process lifecycle, and
+// the networked snapshot tier.
 //
 // Ordering caveat inside every parity test: the fork transport runs
 // FIRST, before any TCP worker thread exists — fork() wants a
 // single-threaded process image (service/shard.h). gtest runs tests
 // sequentially and each test joins its threads, so the image is
 // single-threaded again at the next test's fork.
+#include <sys/ioctl.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,9 +21,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,6 +39,7 @@
 #include "core/requirement.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/obs.h"
 #include "schema/schema.h"
 #include "schema/user.h"
 #include "service/analysis_service.h"
@@ -250,6 +258,49 @@ TEST(FrameTest, OversizedLengthRejected) {
   ::close(fds[1]);
 }
 
+// Writes to a peer that hung up fail; they never raise SIGPIPE. Runs
+// in a death-test child whose SIGPIPE keeps its default, fatal
+// disposition, so a signalled write kills the child instead of
+// returning false.
+bool WritesToAClosedPeerFail() {
+  const std::string bytes(64 << 10, 'x');
+  // A unix-domain peer that closed: the very first write fails.
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
+  ::close(fds[1]);
+  struct iovec iov = {const_cast<char*>(bytes.data()), bytes.size()};
+  const bool unix_failed =
+      net::Sendv(fds[0], &iov, 1) < 0 && errno == EPIPE &&
+      !net::WriteFullTimeout(fds[0], bytes.data(), bytes.size(), 1000) &&
+      !net::WriteFrame(fds[0], net::FrameType::kBatch, bytes, 1000).ok();
+  ::close(fds[0]);
+
+  // A TCP peer that closed cleanly: the first write draws a reset, a
+  // later one fails with EPIPE.
+  auto listener = net::Listener::Bind(0);
+  if (!listener.ok()) return false;
+  auto dialed = net::Dial(common::StrCat("127.0.0.1:", listener->port()));
+  if (!dialed.ok() || !listener->Accept(1000).ok()) return false;
+  bool tcp_failed = false;
+  for (int attempt = 0; attempt < 100 && !tcp_failed; ++attempt) {
+    tcp_failed = !net::WriteFullTimeout(dialed->fd(), bytes.data(),
+                                        bytes.size(), 1000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::cerr << "unix failed: " << unix_failed << ", tcp failed: " << tcp_failed
+            << "\n";
+  return unix_failed && tcp_failed;
+}
+
+TEST(FrameTest, WritesToAClosedPeerFailWithoutSignal) {
+  EXPECT_EXIT(
+      {
+        std::signal(SIGPIPE, SIG_DFL);
+        std::_Exit(WritesToAClosedPeerFail() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 3: the transport parity triangle. Fork, TCP, and
 // single-process CheckBatch must agree byte for byte.
@@ -275,7 +326,6 @@ TEST(TcpShardTest, TransportParityTriangle) {
   tcp_options.workers = loopback.addresses();
   tcp_options.io_timeout_ms = 10000;
   service::TcpTransport tcp_transport(tcp_options);
-  EXPECT_EQ(tcp_transport.name(), "tcp");
   auto tcp_run =
       tcp_transport.Run(*fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_TRUE(tcp_run.ok()) << tcp_run.status();
@@ -388,6 +438,102 @@ TEST(TcpShardTest, AllWorkersDeadFailsAudit) {
       tcp_transport.Run(*fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_FALSE(tcp_run.ok());
   EXPECT_NE(tcp_run.status().message().find("worker"), std::string::npos);
+}
+
+// A worker process killed while pipelined frames sit unread in its
+// socket: its batches re-queue to the survivor and the report is
+// unchanged, and no write on the way (the coordinator's pump, the
+// survivor's replies) raises SIGPIPE. Runs in a death-test child whose
+// SIGPIPE keeps its default, fatal disposition; returns whether every
+// check held.
+bool KilledWorkerRequeuesWithoutSignal() {
+  Fleet fleet = MakeFleet(/*accounts_per_role=*/8);
+  auto bound = net::Listener::Bind(0);
+  if (!bound.ok()) return false;
+  net::Listener doomed = std::move(bound).value();
+
+  // Fork the doomed worker first, while this process has one thread.
+  // It answers the hello, waits until at least two batch frames are
+  // queued unread on its socket, and kills itself.
+  const pid_t parent = ::getpid();
+  const pid_t pid = ::fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) std::_Exit(1);
+    auto conn = doomed.Accept(10000);
+    net::Frame hello;
+    if (!conn.ok() || !net::ReadFrame(conn->fd(), &hello, 10000).ok()) {
+      std::_Exit(1);
+    }
+    snapshot::ByteWriter ack;
+    ack.PutU8(1);
+    ack.PutString("");
+    if (!net::WriteFrame(conn->fd(), net::FrameType::kHelloAck, ack.buffer(),
+                         10000)
+             .ok()) {
+      std::_Exit(1);
+    }
+    for (int waited_ms = 0; waited_ms < 10000; ++waited_ms) {
+      int unread = 0;
+      if (::ioctl(conn->fd(), FIONREAD, &unread) == 0 &&
+          unread >= static_cast<int>(2 * net::kFrameHeaderSize)) {
+        ::raise(SIGKILL);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::_Exit(1);
+  }
+
+  service::AnalysisService single(*fleet.schema, *fleet.users);
+  auto single_run = single.CheckBatch(fleet.sheet);
+  std::vector<service::TcpWorkerOptions> survivor(1);
+  LoopbackFleet loopback(*fleet.schema, survivor);
+
+  // The first signature's batches go to its ShardOf worker (every
+  // worker is empty when the plan reaches it): make that the doomed one.
+  const schema::User* user = fleet.users->Find(fleet.sheet[0].user);
+  const int dying = service::ShardOf(
+      service::SignatureFromRoots(core::AnalysisRoots(*fleet.schema, *user),
+                                  ClosureOptions{}),
+      2);
+  service::TcpTransportOptions tcp_options;
+  tcp_options.workers = {loopback.addresses()[0], loopback.addresses()[0]};
+  tcp_options.workers[static_cast<size_t>(dying)] =
+      common::StrCat("127.0.0.1:", doomed.port());
+  tcp_options.max_batch_requirements = 1;  // 24 batches, 8 per signature
+  tcp_options.max_in_flight = 8;
+  service::TcpTransport tcp_transport(tcp_options);
+  obs::Observability obs;
+  auto tcp_run =
+      tcp_transport.Run(*fleet.schema, *fleet.users, fleet.sheet, &obs);
+
+  int wstatus = 0;
+  const bool killed = ::waitpid(pid, &wstatus, 0) == pid &&
+                      WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL;
+  if (!single_run.ok() || !tcp_run.ok()) {
+    std::cerr << single_run.status() << " / " << tcp_run.status() << "\n";
+    return false;
+  }
+  bool same = tcp_run->reports.size() == fleet.sheet.size();
+  for (size_t i = 0; same && i < fleet.sheet.size(); ++i) {
+    same = tcp_run->reports[i].ToString() == single_run.value()[i].ToString();
+  }
+  const uint64_t deaths = obs.metrics.counter("net.worker_deaths")->value();
+  const uint64_t requeues = obs.metrics.counter("net.requeues")->value();
+  std::cerr << "killed holding frames: " << killed
+            << ", same reports: " << same << ", deaths: " << deaths
+            << ", requeues: " << requeues << "\n";
+  return killed && same && deaths == 1 && requeues >= 2;
+}
+
+TEST(TcpShardTest, KilledWorkerHoldingUnreadFramesRaisesNoSignal) {
+  EXPECT_EXIT(
+      {
+        std::signal(SIGPIPE, SIG_DFL);
+        std::_Exit(KilledWorkerRequeuesWithoutSignal() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // The networked snapshot tier end to end: run one cold audit against a
@@ -585,7 +731,6 @@ TEST(ForkShardTest, EveryRunReapsItsWorkersAndThreads) {
   service::ShardOptions options;
   options.shard_count = 2;
   service::ForkTransport clean_transport(options);
-  EXPECT_EQ(clean_transport.name(), "fork");
   auto clean =
       clean_transport.Run(*fleet.schema, *fleet.users, fleet.sheet, nullptr);
   ASSERT_TRUE(clean.ok()) << clean.status();

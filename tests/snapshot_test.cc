@@ -404,12 +404,6 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
 // back into the pack, to cost a counted fallback to a cold build
 // through the cache.
 
-uint32_t LoadU32At(const std::string& bytes, size_t offset) {
-  uint32_t v = 0;
-  std::memcpy(&v, bytes.data() + offset, sizeof v);
-  return v;
-}
-
 // Recomputes a record's payload checksum after a deliberate edit, so
 // only the rungs past the checksum can catch it.
 void Rechecksum(std::string& record) {
@@ -480,8 +474,9 @@ class SnapshotRobustnessTest : public ::testing::Test {
 
   // The invariant all damage shares: the probe rejects the record
   // (counted — as invalid when the record reaches the decoder, as a
-  // miss when the pack's own recovery already dropped it) and
-  // GetOrBuild still serves the right answer via a cold build.
+  // miss when the pack's own recovery already dropped it), GetOrBuild's
+  // own probe refuses and counts it again, and GetOrBuild still serves
+  // the right answer via a cold build.
   void ExpectCountedFallback(bool reaches_decoder = true) {
     ClosureCache cache(*schema_, options_, 64, nullptr, OpenPack(pack_));
     EXPECT_EQ(cache.FindSnapshot(kFullRoots), nullptr);
@@ -489,6 +484,8 @@ class SnapshotRobustnessTest : public ::testing::Test {
     EXPECT_EQ(cache.stats().snapshot_misses, reaches_decoder ? 0u : 1u);
     auto rebuilt = cache.GetOrBuild(kFullRoots);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    EXPECT_EQ(cache.stats().snapshot_invalid, reaches_decoder ? 2u : 0u);
+    EXPECT_EQ(cache.stats().snapshot_misses, reaches_decoder ? 0u : 2u);
     EXPECT_EQ(cache.stats().cold_builds, 1u);
     EXPECT_FALSE(rebuilt.value()->closure->warm_started());
     EXPECT_EQ(rebuilt.value()->closure->FactSetDigest(), reference_digest_);
@@ -506,18 +503,22 @@ class SnapshotRobustnessTest : public ::testing::Test {
   // array, read from the record's own prefix.
   size_t DigestOffset() const {
     size_t pos = snapshot::kEntryHeaderSize;
-    const uint32_t roots = LoadU32At(record_, pos);
+    const uint32_t roots = snapshot::LoadU32(record_.data() + pos);
     pos += 4;
-    for (uint32_t i = 0; i < roots; ++i) pos += 4 + LoadU32At(record_, pos);
+    for (uint32_t i = 0; i < roots; ++i) {
+      pos += 4 + snapshot::LoadU32(record_.data() + pos);
+    }
     return pos + 4;  // past the digest's length prefix
   }
   size_t StepsOffset() const {
     size_t pos = DigestOffset() - 4;
-    pos += 4 + LoadU32At(record_, pos);  // digest
-    const uint32_t rules = LoadU32At(record_, pos);
+    pos += 4 + snapshot::LoadU32(record_.data() + pos);  // digest
+    const uint32_t rules = snapshot::LoadU32(record_.data() + pos);
     pos += 4;
-    for (uint32_t i = 0; i < rules; ++i) pos += 4 + LoadU32At(record_, pos);
-    const uint32_t steps_rel = LoadU32At(record_, pos + 8);
+    for (uint32_t i = 0; i < rules; ++i) {
+      pos += 4 + snapshot::LoadU32(record_.data() + pos);
+    }
+    const uint32_t steps_rel = snapshot::LoadU32(record_.data() + pos + 8);
     return snapshot::kEntryHeaderSize + steps_rel;
   }
 
@@ -717,6 +718,66 @@ TEST(ShardTest, ShardOfSpreadsSignaturesDifferingInATrailingNumber) {
     return std::vector<std::string>{"r_name",
                                     common::StrCat("w_budget", dept)};
   });
+}
+
+// Audits `grants.size()` single-grant roles, two users each, on two
+// forked workers and returns how many requirements each worker took.
+std::vector<size_t> RequirementsPerWorker(
+    const std::vector<std::string>& grants) {
+  Fleet fleet;
+  fleet.schema = BrokerSchema();
+  fleet.users = std::make_unique<schema::UserRegistry>(*fleet.schema);
+  for (size_t r = 0; r < grants.size(); ++r) {
+    for (int k = 0; k < 2; ++k) {
+      std::string name = common::StrCat("role", r, "_", k);
+      EXPECT_TRUE(fleet.users->AddUser(name).ok());
+      EXPECT_TRUE(fleet.users->Grant(name, grants[r]).ok());
+      auto parsed = core::ParseRequirementString(
+          common::StrCat("(", name, ", r_salary(x) : ti)"));
+      EXPECT_TRUE(parsed.ok()) << parsed.status();
+      fleet.sheet.push_back(std::move(parsed).value());
+    }
+  }
+  service::ShardOptions options;
+  options.shard_count = 2;
+  auto sharded = service::RunShardedBatch(*fleet.schema, *fleet.users,
+                                          fleet.sheet, options);
+  EXPECT_TRUE(sharded.ok()) << sharded.status();
+  return sharded.ok() ? sharded->shard_requirements : std::vector<size_t>{};
+}
+
+TEST(ShardTest, FewSignaturesSpreadEvenlyOverTheWorkers) {
+  // ShardOf splits a handful of signatures like coin flips; the plan
+  // must spread them evenly anyway. Sort single-grant roles by the
+  // worker ShardOf prefers for them, majority side first.
+  auto schema = BrokerSchema();
+  schema::UserRegistry probe(*schema);
+  std::vector<std::string> by_shard[2];
+  for (const char* grant :
+       {"r_name", "r_salary", "r_budget", "r_profit", "w_name", "w_salary",
+        "w_budget", "w_profit", "checkBudget", "calcSalary",
+        "updateSalary"}) {
+    std::string name = common::StrCat("probe_", grant);
+    ASSERT_TRUE(probe.AddUser(name).ok());
+    ASSERT_TRUE(probe.Grant(name, grant).ok());
+    std::string signature = service::CapabilitySignature(
+        *schema, *probe.Find(name), core::ClosureOptions{});
+    by_shard[service::ShardOf(signature, 2)].push_back(grant);
+  }
+  if (by_shard[0].size() < by_shard[1].size()) {
+    std::swap(by_shard[0], by_shard[1]);
+  }
+  ASSERT_GE(by_shard[0].size(), 6u);
+
+  // Two signatures ShardOf sends to one worker get a worker each.
+  EXPECT_EQ(RequirementsPerWorker({by_shard[0][0], by_shard[0][1]}),
+            (std::vector<size_t>{2, 2}));
+
+  // Eight signatures, at least six preferring one worker, split 8/8.
+  std::vector<std::string> eight = by_shard[0];
+  eight.resize(std::min<size_t>(eight.size(), 8));
+  for (size_t i = 0; eight.size() < 8; ++i) eight.push_back(by_shard[1][i]);
+  EXPECT_EQ(RequirementsPerWorker(eight), (std::vector<size_t>{8, 8}));
 }
 
 TEST(ShardTest, ShardedBatchMatchesSingleProcessByteForByte) {

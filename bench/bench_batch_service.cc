@@ -1,7 +1,7 @@
 // Batch analysis service benchmark: a role-shaped user population —
 // many accounts, few distinct grant bundles — checked end-to-end
 // through AnalysisService, against the per-user sequential baseline
-// (core::CheckRequirement builds a fresh closure per requirement).
+// (AnalysisSession::Check builds a fresh closure per requirement).
 //
 // Population: `roles` broker departments on one shared class; each role
 // grants its department's {checkBudget_i, updateSalary_i, w_budget_i,
@@ -98,10 +98,10 @@ constexpr int kUsersPerRole = 4;
 // closes its user's capability list from scratch.
 void BM_SequentialPerUser(benchmark::State& state) {
   Population population = MakeRolePopulation(kRoles, kUsersPerRole);
+  core::AnalysisSession session(*population.schema, *population.users);
   for (auto _ : state) {
     for (const core::Requirement& requirement : population.requirements) {
-      auto report = core::CheckRequirement(*population.schema,
-                                           *population.users, requirement);
+      auto report = session.Check(requirement);
       if (!report.ok()) std::abort();
       benchmark::DoNotOptimize(report->satisfied);
     }
@@ -117,11 +117,12 @@ BENCHMARK(BM_SequentialPerUser)->Unit(benchmark::kMillisecond);
 void BM_BatchColdCache(benchmark::State& state) {
   Population population = MakeRolePopulation(kRoles, kUsersPerRole);
   double built = 0, hit_rate = 0;
+  core::SessionOptions options;
+  options.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    service::ServiceOptions options;
-    options.threads = static_cast<int>(state.range(0));
-    service::AnalysisService svc(*population.schema, *population.users,
-                                 options);
+    core::AnalysisSession session(*population.schema, *population.users,
+                                  options);
+    service::AnalysisService svc(session);
     auto reports = svc.CheckBatch(population.requirements);
     if (!reports.ok()) std::abort();
     benchmark::DoNotOptimize(reports->size());
@@ -143,10 +144,11 @@ BENCHMARK(BM_BatchColdCache)
 // parallel requirement checking — the re-audit shape.
 void BM_BatchWarmCache(benchmark::State& state) {
   Population population = MakeRolePopulation(kRoles, kUsersPerRole);
-  service::ServiceOptions options;
+  core::SessionOptions options;
   options.threads = static_cast<int>(state.range(0));
-  service::AnalysisService svc(*population.schema, *population.users,
-                               options);
+  core::AnalysisSession session(*population.schema, *population.users,
+                                options);
+  service::AnalysisService svc(session);
   {
     auto warmup = svc.CheckBatch(population.requirements);
     if (!warmup.ok()) std::abort();

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "core/analysis_session.h"
 #include "dynamic/session_guard.h"
 #include "query/binder.h"
 #include "query/query_parser.h"
@@ -59,9 +60,8 @@ void PrintReport() {
   // ALL sessions are refused.
   auto workspace = text::LoadWorkspace(kWorkspace);
   if (!workspace.ok()) std::abort();
-  auto report = core::CheckRequirement(*workspace->schema,
-                                       *workspace->users,
-                                       workspace->requirements[0]);
+  core::AnalysisSession session(*workspace->schema, *workspace->users);
+  auto report = session.Check(workspace->requirements[0]);
   if (!report.ok()) std::abort();
   int static_served = report->satisfied ? kSessions : 0;
 

@@ -230,12 +230,11 @@ void BM_IncrementalRevoke(benchmark::State& state) {
   size_t cone = 0;
   size_t rederived = 0;
   for (auto _ : state) {
-    std::unique_ptr<core::Closure> shrunk =
-        core::Closure::Retract(*reduced_set.value(), {}, nullptr, base);
-    if (shrunk == nullptr) std::abort();
-    facts = shrunk->fact_count();
-    cone = shrunk->retracted_fact_count();
-    rederived = shrunk->rederived_fact_count();
+    core::Closure shrunk(*reduced_set.value(), {}, nullptr, &base);
+    if (!shrunk.retracted()) std::abort();
+    facts = shrunk.fact_count();
+    cone = shrunk.retracted_fact_count();
+    rederived = shrunk.rederived_fact_count();
     benchmark::DoNotOptimize(facts);
   }
   state.counters["facts"] = static_cast<double>(facts);

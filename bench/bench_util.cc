@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include "core/analysis_session.h"
 #include "core/closure.h"
 #include "store/database.h"
 #include "unfold/unfolded.h"
@@ -30,7 +31,8 @@ std::array<AgreementCounts, 4> CompareAnalyzerWithOracle(uint32_t seed) {
   for (const std::string& cap : capabilities) {
     if (!users.Grant("u", cap).ok()) std::abort();
   }
-  auto analysis = core::UserAnalysis::Build(schema, *users.Find("u"));
+  core::AnalysisSession session(schema, users);
+  auto analysis = session.BuildUser(*users.Find("u"));
   if (!analysis.ok()) std::abort();
   const core::Closure& closure = analysis.value()->closure();
   const unfold::UnfoldedSet& set = analysis.value()->set();

@@ -196,11 +196,10 @@ int main(int argc, char** argv) {
         stats.checks, threads, stats.closures_built, stats.requirement_hits,
         100.0 * stats.RequirementHitRate(), stats.snapshot_hits);
 
-    // Self-check: the batch must agree with the sequential analyzer,
-    // report for report.
+    // Self-check: the batch must agree with the session's sequential
+    // analyzer, report for report.
     for (size_t i = 0; i < sheet.size(); ++i) {
-      auto sequential = core::CheckRequirement(*workspace.schema,
-                                               *workspace.users, sheet[i]);
+      auto sequential = session.Check(sheet[i]);
       if (!sequential.ok() ||
           sequential->ToString() != (*reports)[i].ToString()) {
         std::fprintf(stderr, "MISMATCH at requirement %zu\n", i);

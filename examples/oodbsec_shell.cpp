@@ -17,7 +17,9 @@
 //   batch [threads]            same, through the caching batch service
 //   shard [shards]             same, forked across worker processes
 //   shard tcp <host:port>...   same, streamed to TCP workers (started
-//                              with `serve`), pipelined by signature
+//                              with `serve`), pipelined by signature;
+//                              both shard forms audit the loaded
+//                              grants, without grant/revoke edits
 //   serve <port>               become a shard worker: serve batches on
 //                              <port> until the process is killed
 //   fixpoint [threads]         parallel closure fixpoint (0 = auto,
@@ -178,6 +180,8 @@ class Shell {
         "                                  processes (default 4 shards)\n"
         "  shard tcp <host:port> ...       same, streamed to TCP workers\n"
         "                                  (started with 'serve')\n"
+        "                                  shard audits the loaded grants,\n"
+        "                                  not grant/revoke edits\n"
         "  serve <port>                    become a shard worker on <port>\n"
         "  fixpoint [threads]              parallel closure fixpoint (0 ="
         " auto,\n"
@@ -254,10 +258,11 @@ class Shell {
     std::printf("(use 'explain <n>' for a derivation)\n");
   }
 
-  // Session-overlay policy edits. A revoke eagerly DRed-retracts the
-  // user's cached closure (core::Closure::Retract), so the `recheck`
-  // that follows is an exact cache hit; the printed counters make the
-  // fast path (vs the rebuild fallback) visible.
+  // Session-overlay policy edits. A revoke eagerly shrinks the user's
+  // cached closure by DRed (ClosureCache::RetractEntry), so the
+  // `recheck` that follows is an exact cache hit; the printed counters
+  // make the fast path (vs the rebuild fallback) visible. `analyze` and
+  // `batch` audit the same overlay.
   void GrantRevoke(const std::string& verb, const std::string& user,
                    const std::string& function) {
     if (user.empty() || function.empty()) {

@@ -22,7 +22,12 @@ AnalysisSession::AnalysisSession(const schema::Schema& schema,
 
 common::Result<std::unique_ptr<UserAnalysis>> AnalysisSession::BuildUser(
     const schema::User& user) const {
-  return UserAnalysis::Build(schema_, user, options_.closure, obs_.get());
+  OODBSEC_ASSIGN_OR_RETURN(
+      std::unique_ptr<unfold::UnfoldedSet> set,
+      unfold::UnfoldedSet::Build(schema_, AnalysisRoots(schema_, user),
+                                 obs_.get()));
+  auto closure = std::make_unique<Closure>(*set, options_.closure, obs_.get());
+  return std::make_unique<UserAnalysis>(std::move(set), std::move(closure));
 }
 
 common::Result<AnalysisReport> AnalysisSession::Check(

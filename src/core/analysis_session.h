@@ -1,18 +1,14 @@
-// AnalysisSession: the one construction point for an analysis pipeline.
+// AnalysisSession: the one way into an analysis pipeline.
 //
-// Before this façade existed, every layer took its own slice of
-// configuration — free functions took ClosureOptions, UserAnalysis::Build
-// took ClosureOptions again, AnalysisService took a ServiceOptions with
-// a third copy inside — and there was no place to hang cross-cutting
-// state like tracing. The session now owns the full bundle:
+// The session owns the full configuration bundle:
 //
 //   (schema, users, SessionOptions{closure, threads}, Tracer, Metrics)
 //
-// and everything downstream borrows from it: core::UserAnalysis and the
-// one-shot Check() here, service::AnalysisService for cached parallel
-// batches, the shell for its `trace` command. The observability bundle
-// lives exactly as long as the session, so spans and counters from
-// every phase of every check accumulate in one place and dump together.
+// and everything downstream borrows from it: BuildUser and the one-shot
+// Check() here, service::AnalysisService for cached parallel batches,
+// the shell for its `trace` command. The observability bundle lives
+// exactly as long as the session, so spans and counters from every
+// phase of every check accumulate in one place and dump together.
 //
 // Thread-safety: the session itself is a single-caller object (like the
 // service); the Observability it hands out is safe to write from the
@@ -88,8 +84,9 @@ class AnalysisSession {
   obs::Tracer& tracer() { return obs_->tracer; }
   obs::MetricsRegistry& metrics() { return obs_->metrics; }
 
-  // Unfolds `user`'s capability list and computes its closure under the
-  // session's options, traced and counted.
+  // Unfolds `user`'s capability list (AnalysisRoots) and computes its
+  // closure cold under the session's options, traced and counted. Check
+  // requirements against it with CheckAgainstClosure.
   common::Result<std::unique_ptr<UserAnalysis>> BuildUser(
       const schema::User& user) const;
 
@@ -111,7 +108,8 @@ class AnalysisSession {
   //     the new one: the cached closure seeds a warm-started build that
   //     derives just the new function's contribution;
   //   * after RemoveCapability, the user's cached closure is shrunk by
-  //     DRed retraction (Closure::Retract) into a fresh cache entry,
+  //     DRed retraction (a Closure built from its superset) into a
+  //     fresh cache entry,
   //     eagerly — the revoked capability's fact cone is deleted and
   //     alternate support re-derived, so the next recheck is an exact
   //     hit ("session.retractions_fast"). When the pre-revoke closure
@@ -134,12 +132,13 @@ class AnalysisSession {
 
   // Re-checks `requirements` against the current (overlay) capability
   // state, serving closures from the session's subset-lattice cache:
-  // exact hit, else warm-start from the largest cached subset, else
-  // cold build. Reports come back in input order; the first failing
-  // requirement's error wins. Because warm-started closures take
-  // different derivation routes than cold ones, reports' fact_count
-  // and derivation text may differ from a cold Check() — verdicts and
-  // flaw sites do not.
+  // exact hit, else a build shrunk from a close cached superset or
+  // grown from the largest cached subset, else cold
+  // (ClosureCache::GetOrBuild). Reports come back in input order; the
+  // first failing requirement's error wins. Because grown and shrunk
+  // closures take different derivation routes than cold ones, reports'
+  // fact_count and derivation text may differ from a cold Check() —
+  // verdicts and flaw sites do not.
   common::Result<std::vector<AnalysisReport>> RecheckRequirements(
       const std::vector<Requirement>& requirements);
 

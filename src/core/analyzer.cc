@@ -38,19 +38,6 @@ std::vector<std::string> AnalysisRoots(const schema::Schema& schema,
   return roots;
 }
 
-common::Result<std::unique_ptr<UserAnalysis>> UserAnalysis::Build(
-    const schema::Schema& schema, const schema::User& user,
-    ClosureOptions options, obs::Observability* obs) {
-  OODBSEC_ASSIGN_OR_RETURN(
-      std::unique_ptr<unfold::UnfoldedSet> set,
-      unfold::UnfoldedSet::Build(schema, AnalysisRoots(schema, user), obs));
-  std::unique_ptr<UserAnalysis> analysis(new UserAnalysis());
-  analysis->user_name_ = user.name();
-  analysis->closure_ = std::make_unique<Closure>(*set, options, obs);
-  analysis->set_ = std::move(set);
-  return analysis;
-}
-
 namespace {
 
 // Collects the supporting fact for capability `cap` on occurrence `id`;
@@ -79,16 +66,6 @@ bool CapabilityHolds(const Closure& closure, Capability cap, int id,
 }
 
 }  // namespace
-
-common::Result<AnalysisReport> UserAnalysis::Check(
-    const Requirement& requirement) const {
-  if (requirement.user != user_name_) {
-    return common::InvalidArgumentError(common::StrCat(
-        "requirement names user '", requirement.user,
-        "' but this analysis is for '", user_name_, "'"));
-  }
-  return CheckAgainstClosure(*set_, *closure_, requirement);
-}
 
 common::Result<AnalysisReport> CheckAgainstClosure(
     const unfold::UnfoldedSet& set, const Closure& closure,
@@ -212,19 +189,6 @@ common::Result<AnalysisReport> CheckAgainstClosure(
     obs->metrics.counter("analyzer.flaws")->Increment(report.flaws.size());
   }
   return report;
-}
-
-common::Result<AnalysisReport> CheckRequirement(
-    const schema::Schema& schema, const schema::UserRegistry& users,
-    const Requirement& requirement, ClosureOptions options) {
-  const schema::User* user = users.Find(requirement.user);
-  if (user == nullptr) {
-    return common::NotFoundError(
-        common::StrCat("unknown user '", requirement.user, "'"));
-  }
-  OODBSEC_ASSIGN_OR_RETURN(std::unique_ptr<UserAnalysis> analysis,
-                           UserAnalysis::Build(schema, *user, options));
-  return analysis->Check(requirement);
 }
 
 }  // namespace oodbsec::core

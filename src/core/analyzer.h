@@ -21,6 +21,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -71,54 +72,35 @@ std::vector<std::string> AnalysisRoots(const schema::Schema& schema,
 
 // Checks `requirement` against an already-computed closure, without
 // validating the requirement's user name: the site enumeration and
-// capability tests of A(R), shared by UserAnalysis::Check and the
+// capability tests of A(R), shared by AnalysisSession::Check and the
 // service layer (which serves many same-signature users from one
-// closure). Read-only on `set`/`closure`; safe to call concurrently.
-// With `obs`, the check runs under a "check" span (parented under
-// `parent` when given — pass the submitting side's span id when the
-// check runs on a pool worker) and site/flaw counts hit the registry.
+// closure). The requirement's function need not be on the capability
+// list — indirect invocation sites still count. Read-only on
+// `set`/`closure`; safe to call concurrently. With `obs`, the check
+// runs under a "check" span (parented under `parent` when given — pass
+// the submitting side's span id when the check runs on a pool worker)
+// and site/flaw counts hit the registry.
 common::Result<AnalysisReport> CheckAgainstClosure(
     const unfold::UnfoldedSet& set, const Closure& closure,
     const Requirement& requirement, obs::Observability* obs = nullptr,
     obs::SpanId parent = obs::kNoSpan);
 
-// The per-user analysis context: the unfolded capability-list program
-// and its closure, reusable across many requirement checks.
-//
-// DEPRECATED as an entry point: construct an AnalysisSession
-// (core/analysis_session.h) and call its BuildUser/Check instead —
-// the session is the one place that owns options and observability.
-// Build stays as a thin wrapper so existing callers keep compiling.
+// The per-user analysis context AnalysisSession::BuildUser returns: the
+// unfolded capability-list program and its closure, reusable across
+// many CheckAgainstClosure calls.
 class UserAnalysis {
  public:
-  // Unfolds every function on `user`'s capability list and computes the
-  // closure, both observed through `obs` when given.
-  static common::Result<std::unique_ptr<UserAnalysis>> Build(
-      const schema::Schema& schema, const schema::User& user,
-      ClosureOptions options = {}, obs::Observability* obs = nullptr);
+  UserAnalysis(std::unique_ptr<unfold::UnfoldedSet> set,
+               std::unique_ptr<Closure> closure)
+      : set_(std::move(set)), closure_(std::move(closure)) {}
 
   const unfold::UnfoldedSet& set() const { return *set_; }
   const Closure& closure() const { return *closure_; }
-  const std::string& user_name() const { return user_name_; }
-
-  // Checks one requirement (its user field must match this analysis'
-  // user). The requirement's function need not be on the capability
-  // list — indirect invocation sites still count.
-  common::Result<AnalysisReport> Check(const Requirement& requirement) const;
 
  private:
-  UserAnalysis() = default;
-
-  std::string user_name_;
   std::unique_ptr<unfold::UnfoldedSet> set_;
   std::unique_ptr<Closure> closure_;
 };
-
-// One-shot convenience: build the user's analysis and check one
-// requirement.
-common::Result<AnalysisReport> CheckRequirement(
-    const schema::Schema& schema, const schema::UserRegistry& users,
-    const Requirement& requirement, ClosureOptions options = {});
 
 }  // namespace oodbsec::core
 

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "common/strings.h"
@@ -60,6 +62,48 @@ void InsertSortedUniqueById(std::vector<const Node*>& nodes,
   if (it == nodes.end() || *it != node) nodes.insert(it, node);
 }
 
+// The two shapes a finished derivation log comes in, behind the
+// accessors Closure::Replay reads: a live closure's steps, and a
+// snapshot record's fixed-width image (decoded one step at a time,
+// straight out of the record bytes).
+struct LogSource {
+  std::span<const DerivationStep> steps;
+  std::span<const FactId> arena;
+
+  size_t size() const { return steps.size(); }
+  size_t arena_size() const { return arena.size(); }
+  Fact fact(size_t i) const { return steps[i].fact; }
+  std::string_view rule(size_t i) const { return steps[i].rule; }
+  std::span<const FactId> premises(size_t i) const {
+    return {arena.data() + steps[i].premise_offset, steps[i].premise_count};
+  }
+};
+
+struct PackedSource {
+  const ReplayView& view;
+
+  size_t size() const { return view.steps.size(); }
+  size_t arena_size() const { return view.premise_arena.size(); }
+  Fact fact(size_t i) const {
+    const PackedStep& packed = view.steps[i];
+    Fact fact;
+    fact.kind = static_cast<Fact::Kind>(packed.kind);
+    fact.a = packed.a;
+    fact.b = packed.b;
+    fact.origin.num = packed.origin_num;
+    fact.origin.dir = static_cast<char>(packed.origin_dir);
+    return fact;
+  }
+  std::string_view rule(size_t i) const {
+    return view.rules[view.steps[i].rule];
+  }
+  std::span<const FactId> premises(size_t i) const {
+    const PackedStep& packed = view.steps[i];
+    return {view.premise_arena.data() + packed.premise_offset,
+            packed.premise_count};
+  }
+};
+
 }  // namespace
 
 std::string Origin::ToString() const {
@@ -83,65 +127,77 @@ struct Closure::RoundCrew {
 };
 
 Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
-                 obs::Observability* obs, const Closure* warm_base)
+                 obs::Observability* obs, const Closure* base)
     : set_(&set), options_(options), obs_(obs) {
-  obs::Tracer* tracer = obs_ != nullptr ? &obs_->tracer : nullptr;
-  obs::ScopedSpan closure_span(tracer, "closure");
-  InitTables();
-
-  std::vector<int> delta_ids;
-  if (warm_base != nullptr) {
-    std::vector<int> old_to_new;
-    if (ComputeWarmMap(*warm_base, old_to_new)) {
-      obs::ScopedSpan replay_span(tracer, "closure.delta.replay");
-      ReplayBase(*warm_base, old_to_new);
-      warm_started_ = true;
-      // Occurrences the base does not cover: the added roots' blocks.
-      // Replayed facts never enter the frontier, so a rule keyed on an
-      // old occurrence (e.g. "alterability via write object", whose
-      // conclusions span every read of the attribute) would never see
-      // these new targets. Rederive() re-fires the per-occurrence and
-      // per-class producers from the new nodes' perspective, reading the
-      // replayed state the frontier skipped.
-      std::vector<char> mapped(set.node_count() + 1, 0);
-      for (int old_id = 1; old_id < static_cast<int>(old_to_new.size());
-           ++old_id) {
-        if (old_to_new[old_id] != 0) mapped[old_to_new[old_id]] = 1;
-      }
-      for (int id = 1; id <= set.node_count(); ++id) {
-        if (mapped[id] == 0) delta_ids.push_back(id);
-      }
-    }
-  }
-
-  {
-    obs::ScopedSpan seed_span(tracer, "closure.seed");
-    Seed();
-  }
-  if (!delta_ids.empty()) Rederive(delta_ids, {});
-  Run();
-  FlushMetrics();
+  Build(base, nullptr);
 }
 
 Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
                  obs::Observability* obs, const ReplayView& view)
     : set_(&set), options_(options), obs_(obs) {
+  Build(nullptr, &view);
+}
+
+void Closure::Build(const Closure* base, const ReplayView* view) {
   obs::Tracer* tracer = obs_ != nullptr ? &obs_->tracer : nullptr;
   obs::ScopedSpan closure_span(tracer, "closure");
   InitTables();
-  {
-    obs::ScopedSpan replay_span(tracer, "closure.snapshot.replay");
-    ReplayPackedSteps(view);
-    warm_started_ = true;
+
+  std::vector<int> old_to_new;
+  Reuse reuse = base != nullptr ? MatchRoots(*base, old_to_new) : Reuse::kCold;
+  // Where the rederive pass re-fires the structural rules: the
+  // occurrences a shrink's cone touched, or a grow's new occurrences.
+  std::vector<int> touched;
+  std::vector<DeletedPair> deleted_pairs;
+  std::vector<char> deleted;
+  if (reuse == Reuse::kShrink) {
+    obs::ScopedSpan delete_span(tracer, "closure.retract.delete");
+    OverDelete(*base, old_to_new, deleted, touched, deleted_pairs);
   }
-  // A complete log already contains every axiom and every fixpoint
-  // conclusion, so the seed pass and the (empty-frontier) run below only
-  // dedup — they exist to make a *partial or stale* log merely slow
-  // instead of wrong, and they keep the derivation log byte-identical to
-  // the saved one in the complete case (dedup appends nothing).
+  if (view != nullptr || reuse != Reuse::kCold) {
+    obs::ScopedSpan replay_span(tracer, "closure.replay");
+    if (view != nullptr) {
+      Replay(PackedSource{*view}, nullptr, nullptr);
+    } else {
+      Replay(LogSource{base->steps_, base->premise_arena_}, &old_to_new,
+             reuse == Reuse::kShrink ? &deleted : nullptr);
+    }
+    warm_started_ = true;
+    retracted_ = reuse == Reuse::kShrink;
+  }
+  if (reuse == Reuse::kGrow) {
+    // Occurrences the base does not cover: the added roots' blocks.
+    // Replayed facts never enter the frontier, so a rule keyed on an
+    // old occurrence (e.g. "alterability via write object", whose
+    // conclusions span every read of the attribute) would never see
+    // these new targets. Rederive() re-fires the per-occurrence and
+    // per-class producers from the new nodes' perspective, reading the
+    // replayed state the frontier skipped.
+    std::vector<char> mapped(set_->node_count() + 1, 0);
+    for (int old_id = 1; old_id < static_cast<int>(old_to_new.size());
+         ++old_id) {
+      if (old_to_new[old_id] != 0) mapped[old_to_new[old_id]] = 1;
+    }
+    for (int id = 1; id <= set_->node_count(); ++id) {
+      if (mapped[id] == 0) touched.push_back(id);
+    }
+  }
+
+  // Seed() adds every axiom the log lacks and re-evaluates every
+  // basic-function rule against the replayed tables; Rederive() covers
+  // the structural rules at the touched sites. Both only enqueue
+  // genuinely missing facts, and Run() propagates their consequences to
+  // the fixpoint. After a complete snapshot log they append nothing,
+  // which keeps that replay byte-identical to the saved closure; they
+  // run anyway so that a partial or stale log is merely slow, not wrong.
   {
     obs::ScopedSpan seed_span(tracer, "closure.seed");
     Seed();
+  }
+  {
+    std::optional<obs::ScopedSpan> rederive_span;
+    if (retracted_) rederive_span.emplace(tracer, "closure.retract.rederive");
+    Rederive(touched, deleted_pairs);
   }
   Run();
   FlushMetrics();
@@ -252,106 +308,88 @@ void Closure::BuildPremiseIndex() {
       static_cast<uint32_t>(alter_trigger_refs_.size());
 }
 
-bool Closure::ComputeWarmMap(const Closure& base,
-                             std::vector<int>& old_to_new) const {
-  if (&base == this || !(base.options_ == options_)) return false;
+Closure::Reuse Closure::MatchRoots(const Closure& base,
+                                   std::vector<int>& old_to_new) const {
+  if (!(base.options_ == options_)) return Reuse::kCold;
   const std::vector<unfold::Root>& old_roots = base.set_->roots();
   const std::vector<unfold::Root>& new_roots = set_->roots();
-  // Match the k-th duplicate of a name to the k-th duplicate: unfolding
+  // Pair the k-th duplicate of a name with the k-th duplicate: unfolding
   // a function is deterministic, so position within the root list never
   // changes a root's shape (see unfold::Root).
-  std::map<std::string_view, std::vector<size_t>> available;
+  std::map<std::string_view, std::vector<size_t>> new_by_name;
   for (size_t j = 0; j < new_roots.size(); ++j) {
-    available[new_roots[j].function_name].push_back(j);
+    new_by_name[new_roots[j].function_name].push_back(j);
   }
-  std::map<std::string_view, size_t> next;
+  std::map<std::string_view, size_t> seen;
   old_to_new.assign(base.set_->node_count() + 1, 0);
+  size_t paired = 0;
   for (const unfold::Root& old_root : old_roots) {
-    auto it = available.find(old_root.function_name);
-    if (it == available.end()) return false;
-    size_t& cursor = next[old_root.function_name];
-    if (cursor >= it->second.size()) return false;
-    const unfold::Root& new_root = new_roots[it->second[cursor++]];
+    size_t k = seen[old_root.function_name]++;
+    auto it = new_by_name.find(old_root.function_name);
+    if (it == new_by_name.end() || k >= it->second.size()) continue;
+    const unfold::Root& new_root = new_roots[it->second[k]];
     int old_first = old_root.first_node_id;
     int old_last = old_root.body->id;
     int new_first = new_root.first_node_id;
     if (old_last - old_first != new_root.body->id - new_first) {
-      return false;  // shape mismatch: schemas differ, fall back cold
+      return Reuse::kCold;  // shape mismatch: schemas differ
     }
     for (int id = old_first; id <= old_last; ++id) {
       old_to_new[id] = id - old_first + new_first;
     }
+    ++paired;
   }
-  return true;
+  if (paired == old_roots.size()) return Reuse::kGrow;
+  if (paired == new_roots.size()) return Reuse::kShrink;
+  return Reuse::kCold;
 }
 
-void Closure::ReplayBase(const Closure& base,
-                         const std::vector<int>& old_to_new) {
-  replayed_facts_ = base.steps_.size();
-  steps_.reserve(base.steps_.size() + base.steps_.size() / 4);
+template <typename Source>
+void Closure::Replay(const Source& source, const std::vector<int>* old_to_new,
+                     const std::vector<char>* skip) {
+  const size_t n = source.size();
+  // Old step index -> new FactId; only needed when survivors compact.
+  std::vector<FactId> remap(skip != nullptr ? n : 0, kNoFact);
+  steps_.reserve(n + n / 4);
   fact_of_.reserve(steps_.capacity());
-  premise_arena_.reserve(base.premise_arena_.size());
-  for (const DerivationStep& bstep : base.steps_) {
+  premise_arena_.reserve(source.arena_size());
+  for (size_t i = 0; i < n; ++i) {
+    if (skip != nullptr && (*skip)[i] != 0) continue;
     // Translate the fact into this set's id space. Origin nums are
     // occurrence ids too (0 marks observation/equality axioms and maps
     // to itself).
-    Fact fact = bstep.fact;
-    fact.a = old_to_new[fact.a];
-    if (fact.kind == Fact::Kind::kPiStar || fact.kind == Fact::Kind::kEq) {
-      fact.b = old_to_new[fact.b];
+    Fact fact = source.fact(i);
+    if (old_to_new != nullptr) {
+      const std::vector<int>& map = *old_to_new;
+      fact.a = map[fact.a];
+      if (fact.kind == Fact::Kind::kPiStar || fact.kind == Fact::Kind::kEq) {
+        fact.b = map[fact.b];
+      }
+      fact.origin.num = map[fact.origin.num];
     }
-    fact.origin.num = old_to_new[fact.origin.num];
-    // Append the step verbatim. Every base step becomes exactly one
-    // replayed step, so premise FactIds keep their values and are
-    // copied raw. Rule labels have static storage — nothing borrows
-    // from the base after construction.
+    // Rule labels have static storage (or are interned for the process
+    // lifetime) — nothing borrows from the source after construction.
     FactId id = static_cast<FactId>(steps_.size());
+    std::span<const FactId> premises = source.premises(i);
     DerivationStep step;
     step.fact = fact;
-    step.rule = bstep.rule;
+    step.rule = source.rule(i);
     step.premise_offset = static_cast<uint32_t>(premise_arena_.size());
-    step.premise_count = bstep.premise_count;
-    const FactId* src = base.premise_arena_.data() + bstep.premise_offset;
-    premise_arena_.insert(premise_arena_.end(), src,
-                          src + bstep.premise_count);
-    steps_.push_back(step);
-    fact_of_.push_back(fact);
-    // Apply the table effect. Replayed facts never enter the frontier:
-    // the follow-up Seed() + Run() re-derive only what the added roots
-    // contribute, re-firing rules through the premise index as new
-    // facts interact with the replayed state.
-    ApplyReplayedFact(fact, id);
-  }
-}
-
-void Closure::ReplayPackedSteps(const ReplayView& view) {
-  replayed_facts_ = view.steps.size();
-  steps_.reserve(view.steps.size() + view.steps.size() / 4);
-  fact_of_.reserve(steps_.capacity());
-  premise_arena_.reserve(view.premise_arena.size());
-  for (const PackedStep& pstep : view.steps) {
-    // Decode the fixed-width image into a live step. Ids are already in
-    // this set's id space (packed records, like snapshots, replay into
-    // an unfold over the same roots).
-    Fact fact;
-    fact.kind = static_cast<Fact::Kind>(pstep.kind);
-    fact.a = pstep.a;
-    fact.b = pstep.b;
-    fact.origin.num = pstep.origin_num;
-    fact.origin.dir = static_cast<char>(pstep.origin_dir);
-    FactId id = static_cast<FactId>(steps_.size());
-    DerivationStep step;
-    step.fact = fact;
-    step.rule = view.rules[pstep.rule];
-    step.premise_offset = static_cast<uint32_t>(premise_arena_.size());
-    step.premise_count = pstep.premise_count;
-    const FactId* src = view.premise_arena.data() + pstep.premise_offset;
-    premise_arena_.insert(premise_arena_.end(), src,
-                          src + pstep.premise_count);
+    step.premise_count = static_cast<uint32_t>(premises.size());
+    if (skip == nullptr) {
+      // Every source step becomes exactly one replayed step, so premise
+      // FactIds keep their values.
+      premise_arena_.insert(premise_arena_.end(), premises.begin(),
+                            premises.end());
+    } else {
+      remap[i] = id;
+      for (FactId premise : premises) premise_arena_.push_back(remap[premise]);
+    }
     steps_.push_back(step);
     fact_of_.push_back(fact);
     ApplyReplayedFact(fact, id);
   }
+  replayed_facts_ = steps_.size();
 }
 
 void Closure::ApplyReplayedFact(const Fact& fact, FactId id) {
@@ -390,61 +428,14 @@ void Closure::ApplyReplayedFact(const Fact& fact, FactId id) {
 }
 
 // ---------------------------------------------------------------------
-// Retraction (DRed, delete-and-rederive). See the Retract() contract in
-// the header and DESIGN.md §12 for the invariants.
+// Retraction (DRed, delete-and-rederive): the over-delete half of a
+// shrink. See the Closure constructor contract in the header and
+// DESIGN.md §12 for the invariants.
 
-std::unique_ptr<Closure> Closure::Retract(const unfold::UnfoldedSet& set,
-                                          ClosureOptions options,
-                                          obs::Observability* obs,
-                                          const Closure& base) {
-  std::unique_ptr<Closure> closure(
-      new Closure(set, options, obs, base, RetractTag{}));
-  if (!closure->retracted_) return nullptr;
-  return closure;
-}
-
-bool Closure::ComputeShrinkMap(const Closure& base,
-                               std::vector<int>& old_to_new) const {
-  if (&base == this || !(base.options_ == options_)) return false;
-  const std::vector<unfold::Root>& old_roots = base.set_->roots();
-  const std::vector<unfold::Root>& new_roots = set_->roots();
-  // ComputeWarmMap's k-th-duplicate matching with the roles reversed:
-  // every *new* root claims a distinct old root; old roots nobody
-  // claims are the revoked ones, and their id ranges stay mapped to 0.
-  std::map<std::string_view, std::vector<size_t>> available;
-  for (size_t j = 0; j < old_roots.size(); ++j) {
-    available[old_roots[j].function_name].push_back(j);
-  }
-  std::map<std::string_view, size_t> next;
-  old_to_new.assign(base.set_->node_count() + 1, 0);
-  for (const unfold::Root& new_root : new_roots) {
-    auto it = available.find(new_root.function_name);
-    if (it == available.end()) return false;
-    size_t& cursor = next[new_root.function_name];
-    if (cursor >= it->second.size()) return false;
-    const unfold::Root& old_root = old_roots[it->second[cursor++]];
-    int old_first = old_root.first_node_id;
-    int old_last = old_root.body->id;
-    int new_first = new_root.first_node_id;
-    if (old_last - old_first != new_root.body->id - new_first) {
-      return false;  // shape mismatch: schemas differ, fall back cold
-    }
-    for (int id = old_first; id <= old_last; ++id) {
-      old_to_new[id] = id - old_first + new_first;
-    }
-  }
-  return true;
-}
-
-Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
-                 obs::Observability* obs, const Closure& base, RetractTag)
-    : set_(&set), options_(options), obs_(obs) {
-  obs::Tracer* tracer = obs_ != nullptr ? &obs_->tracer : nullptr;
-  obs::ScopedSpan closure_span(tracer, "closure");
-  InitTables();
-  std::vector<int> old_to_new;
-  if (!ComputeShrinkMap(base, old_to_new)) return;  // discarded by Retract()
-
+void Closure::OverDelete(const Closure& base,
+                         const std::vector<int>& old_to_new,
+                         std::vector<char>& deleted, std::vector<int>& touched,
+                         std::vector<DeletedPair>& pairs) {
   // Over-delete the cone of base steps that mention a revoked
   // occurrence — as subject, pair partner, or origin provenance — or
   // depend on a marked step. Premise edges alone do not close the cone:
@@ -469,149 +460,88 @@ Closure::Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
   // the thinner edge set each round (splits are monotone: edges only
   // disappear). Over-deletion is always safe: the rederive pass
   // restores whatever has surviving support.
-  std::vector<char> deleted(base.steps_.size(), 0);
-  std::vector<int> touched;
-  std::vector<DeletedPair> deleted_pairs;
-  {
-    obs::ScopedSpan delete_span(tracer, "closure.retract.delete");
-    auto removed = [&old_to_new](int id) {
-      return id != 0 && old_to_new[id] == 0;
-    };
-    int base_n = base.set_->node_count();
-    std::vector<char> suspect(base_n + 1, 0);
-    std::vector<int> parent(base_n + 1);
-    std::vector<int> first_member(base_n + 1);
-    auto find = [&parent](int x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
+  deleted.assign(base.steps_.size(), 0);
+  auto removed = [&old_to_new](int id) {
+    return id != 0 && old_to_new[id] == 0;
+  };
+  int base_n = base.set_->node_count();
+  std::vector<char> suspect(base_n + 1, 0);
+  std::vector<int> parent(base_n + 1);
+  std::vector<int> first_member(base_n + 1);
+  auto find = [&parent](int x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  auto recompute_suspect = [&] {
+    for (int id = 0; id <= base_n; ++id) parent[id] = id;
+    for (size_t i = 0; i < base.steps_.size(); ++i) {
+      if (deleted[i] != 0) continue;
+      const Fact& fact = base.steps_[i].fact;
+      if (fact.kind != Fact::Kind::kEq) continue;
+      if (removed(fact.a) || removed(fact.b)) continue;
+      parent[find(fact.a)] = find(fact.b);
+    }
+    std::fill(first_member.begin(), first_member.end(), 0);
+    for (int id = 1; id <= base_n; ++id) {
+      if (removed(id)) continue;
+      int rep = base.Rep(id);
+      if (first_member[rep] == 0) {
+        first_member[rep] = id;
+      } else if (find(id) != find(first_member[rep])) {
+        suspect[rep] = 1;  // sticky: splits are monotone across rounds
       }
-      return x;
-    };
-    auto recompute_suspect = [&] {
-      for (int id = 0; id <= base_n; ++id) parent[id] = id;
-      for (size_t i = 0; i < base.steps_.size(); ++i) {
-        if (deleted[i] != 0) continue;
-        const Fact& fact = base.steps_[i].fact;
-        if (fact.kind != Fact::Kind::kEq) continue;
-        if (removed(fact.a) || removed(fact.b)) continue;
-        parent[find(fact.a)] = find(fact.b);
-      }
-      std::fill(first_member.begin(), first_member.end(), 0);
-      for (int id = 1; id <= base_n; ++id) {
-        if (removed(id)) continue;
-        int rep = base.Rep(id);
-        if (first_member[rep] == 0) {
-          first_member[rep] = id;
-        } else if (find(id) != find(first_member[rep])) {
-          suspect[rep] = 1;  // sticky: splits are monotone across rounds
+    }
+  };
+  auto is_pair = [](const Fact& f) {
+    return f.kind == Fact::Kind::kPiStar || f.kind == Fact::Kind::kEq;
+  };
+  auto endpoint_suspect = [&](const Fact& f) {
+    if (suspect[base.Rep(f.a)] != 0) return true;
+    return is_pair(f) && suspect[base.Rep(f.b)] != 0;
+  };
+  bool changed = true;
+  while (changed) {
+    recompute_suspect();
+    changed = false;
+    for (size_t i = 0; i < base.steps_.size(); ++i) {
+      if (deleted[i] != 0) continue;
+      const DerivationStep& bstep = base.steps_[i];
+      const Fact& fact = bstep.fact;
+      bool pair = is_pair(fact);
+      bool gone = removed(fact.a) || removed(fact.origin.num) ||
+                  (pair && removed(fact.b));
+      if (!gone && bstep.premise_count > 0) {
+        gone = endpoint_suspect(fact);
+        for (FactId premise : base.premises(static_cast<FactId>(i))) {
+          if (gone) break;
+          gone = deleted[premise] != 0 ||
+                 endpoint_suspect(base.steps_[premise].fact);
         }
       }
-    };
-    auto is_pair = [](const Fact& f) {
-      return f.kind == Fact::Kind::kPiStar || f.kind == Fact::Kind::kEq;
-    };
-    auto endpoint_suspect = [&](const Fact& f) {
-      if (suspect[base.Rep(f.a)] != 0) return true;
-      return is_pair(f) && suspect[base.Rep(f.b)] != 0;
-    };
-    bool changed = true;
-    while (changed) {
-      recompute_suspect();
-      changed = false;
-      for (size_t i = 0; i < base.steps_.size(); ++i) {
-        if (deleted[i] != 0) continue;
-        const DerivationStep& bstep = base.steps_[i];
-        const Fact& fact = bstep.fact;
-        bool pair = is_pair(fact);
-        bool gone = removed(fact.a) || removed(fact.origin.num) ||
-                    (pair && removed(fact.b));
-        if (!gone && bstep.premise_count > 0) {
-          gone = endpoint_suspect(fact);
-          for (FactId premise : base.premises(static_cast<FactId>(i))) {
-            if (gone) break;
-            gone = deleted[premise] != 0 ||
-                   endpoint_suspect(base.steps_[premise].fact);
-          }
-        }
-        if (!gone) continue;
-        deleted[i] = 1;
-        changed = true;
-        ++retracted_facts_;
-        if (int a = old_to_new[fact.a]; a != 0) touched.push_back(a);
-        if (pair) {
-          if (int b = old_to_new[fact.b]; b != 0) touched.push_back(b);
-        }
-        if (fact.kind == Fact::Kind::kPiStar) {
-          int a = old_to_new[fact.a];
-          int b = old_to_new[fact.b];
-          int onum = fact.origin.num == 0 ? 0 : old_to_new[fact.origin.num];
-          if (a != 0 && b != 0 && (fact.origin.num == 0 || onum != 0)) {
-            deleted_pairs.push_back({a, b, Origin{onum, fact.origin.dir}});
-          }
+      if (!gone) continue;
+      deleted[i] = 1;
+      changed = true;
+      ++retracted_facts_;
+      if (int a = old_to_new[fact.a]; a != 0) touched.push_back(a);
+      if (pair) {
+        if (int b = old_to_new[fact.b]; b != 0) touched.push_back(b);
+      }
+      if (fact.kind == Fact::Kind::kPiStar) {
+        int a = old_to_new[fact.a];
+        int b = old_to_new[fact.b];
+        int onum = fact.origin.num == 0 ? 0 : old_to_new[fact.origin.num];
+        if (a != 0 && b != 0 && (fact.origin.num == 0 || onum != 0)) {
+          pairs.push_back({a, b, Origin{onum, fact.origin.dir}});
         }
       }
     }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
   }
-  {
-    obs::ScopedSpan replay_span(tracer, "closure.retract.replay");
-    ReplaySurvivors(base, old_to_new, deleted);
-  }
-  warm_started_ = true;  // replay-prefix semantics (replayed_fact_count)
-  retracted_ = true;
-  // Seed() re-adds every axiom the cone lost and re-evaluates every
-  // basic-function rule against the survivor tables; the targeted pass
-  // covers the structural rules. Both only enqueue genuinely missing
-  // facts, and Run() propagates their consequences to the fixpoint.
-  {
-    obs::ScopedSpan seed_span(tracer, "closure.seed");
-    Seed();
-  }
-  {
-    obs::ScopedSpan rederive_span(tracer, "closure.retract.rederive");
-    Rederive(touched, deleted_pairs);
-  }
-  Run();
-  FlushMetrics();
-}
-
-void Closure::ReplaySurvivors(const Closure& base,
-                              const std::vector<int>& old_to_new,
-                              const std::vector<char>& deleted) {
-  // Like ReplayBase, but survivors compact: premise FactIds shift, so
-  // each is remapped through the old-index -> new-index table (always
-  // already filled — a survivor's premises are survivors).
-  std::vector<FactId> remap(base.steps_.size(), kNoFact);
-  steps_.reserve(base.steps_.size());
-  fact_of_.reserve(base.steps_.size());
-  premise_arena_.reserve(base.premise_arena_.size());
-  for (size_t i = 0; i < base.steps_.size(); ++i) {
-    if (deleted[i] != 0) continue;
-    const DerivationStep& bstep = base.steps_[i];
-    Fact fact = bstep.fact;
-    fact.a = old_to_new[fact.a];
-    if (fact.kind == Fact::Kind::kPiStar || fact.kind == Fact::Kind::kEq) {
-      fact.b = old_to_new[fact.b];
-    }
-    fact.origin.num = old_to_new[fact.origin.num];
-    FactId id = static_cast<FactId>(steps_.size());
-    remap[i] = id;
-    DerivationStep step;
-    step.fact = fact;
-    step.rule = bstep.rule;
-    step.premise_offset = static_cast<uint32_t>(premise_arena_.size());
-    step.premise_count = bstep.premise_count;
-    for (FactId premise : base.premises(static_cast<FactId>(i))) {
-      premise_arena_.push_back(remap[premise]);
-    }
-    steps_.push_back(step);
-    fact_of_.push_back(fact);
-    ApplyReplayedFact(fact, id);
-  }
-  replayed_facts_ = steps_.size();
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()),
+                touched.end());
 }
 
 void Closure::Rederive(const std::vector<int>& touched,

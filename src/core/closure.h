@@ -251,22 +251,37 @@ class Closure {
   // finds, and dedup-lookup counts land in the metrics registry. `obs`
   // is not part of the closure semantics (cache keys ignore it).
   //
-  // Warm start: `warm_base` (optional) is a completed closure whose
-  // roots form a sub-multiset of `set`'s, computed under the same
-  // options. Its derivation log is replayed into this closure's tables
-  // (translating occurrence ids through the per-root contiguous-range
-  // invariant documented on unfold::Root), and the fixpoint then derives
-  // only the delta contributed by the additional roots. The base is
-  // read during construction only — it may be evicted or destroyed
-  // afterwards. An incompatible base (different options, a root missing
-  // from `set`, mismatched unfold shapes) is ignored and the build falls
-  // back to a cold run; warm_started() reports which path was taken.
-  // Warm and cold runs over the same set derive the same fact *set*
-  // (compare with FactSetDigest()), but generally different derivation
-  // *logs* — fact_count() and ExplainFact() output depend on the route.
+  // Reuse: `base` (optional) is a completed closure over another root
+  // list. The build direction follows from the two root lists, matched
+  // by function name (k-th duplicate to k-th duplicate) and translated
+  // through the per-root contiguous-range invariant documented on
+  // unfold::Root:
+  //
+  //   * grow — the base's roots are a sub-multiset of `set`'s (equal
+  //     lists included): the base's derivation log is replayed into
+  //     this closure's tables, and the fixpoint derives only the delta
+  //     contributed by the additional roots;
+  //   * shrink — the base's roots strictly contain `set`'s: DRed
+  //     (delete-and-rederive). The base's log is scanned once to
+  //     over-delete the cone of steps that mention a removed occurrence
+  //     (as subject, pair partner, origin, or transitively through a
+  //     premise), the surviving steps are replayed, and the deleted
+  //     facts with alternate support are re-derived: Seed() re-evaluates
+  //     every axiom and basic-function rule, and a targeted pass
+  //     re-fires the structural rules at exactly the occurrences and
+  //     equality classes the cone touched;
+  //   * cold — anything else (different options, lists that are
+  //     neither, mismatched unfold shapes): the base is ignored.
+  //
+  // warm_started() and retracted() report the direction taken. The
+  // base is read during construction only — it may be evicted or
+  // destroyed afterwards. Grown, shrunk and cold closures over the same
+  // set derive the same fact *set* (compare with FactSetDigest()), but
+  // generally different derivation *logs* — fact_count() and
+  // ExplainFact() output depend on the route.
   explicit Closure(const unfold::UnfoldedSet& set, ClosureOptions options = {},
                    obs::Observability* obs = nullptr,
-                   const Closure* warm_base = nullptr);
+                   const Closure* base = nullptr);
 
   // Snapshot warm start: replays `view` — the complete derivation log
   // of a finished closure over the same root list (see ReplayView) —
@@ -281,41 +296,17 @@ class Closure {
   Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
           obs::Observability* obs, const ReplayView& view);
 
-  // Retraction (DRed, delete-and-rederive): builds the closure over
-  // `set` — whose roots must form a sub-multiset of `base`'s, computed
-  // under the same options — by *shrinking* the base instead of
-  // rebuilding. The base's derivation log is scanned once to over-delete
-  // the cone of steps that mention a removed occurrence (as subject,
-  // pair partner, origin, or transitively through a premise), the
-  // surviving steps are replayed into fresh tables, and the deleted
-  // facts with alternate support are re-derived: Seed() re-evaluates
-  // every axiom and basic-function rule, and a targeted pass re-fires
-  // the structural rules at exactly the occurrences and equality
-  // classes the cone touched. The standard semi-naive frontier then
-  // runs to completion, so the result derives the same fact *set* as a
-  // cold build over `set` (FactSetDigest equality — the log and
-  // derivation routes may differ, as with warm starts).
-  //
-  // Returns nullptr when the base is incompatible (different options, a
-  // root of `set` missing from the base, mismatched unfold shapes) —
-  // the caller falls back to a cold or warm build. The base is read
-  // during construction only. Counts as warm_started(); retracted()
-  // reports the path.
-  static std::unique_ptr<Closure> Retract(const unfold::UnfoldedSet& set,
-                                          ClosureOptions options,
-                                          obs::Observability* obs,
-                                          const Closure& base);
-
   Closure(const Closure&) = delete;
   Closure& operator=(const Closure&) = delete;
 
   const unfold::UnfoldedSet& set() const { return *set_; }
 
-  // True when a warm_base was accepted and replayed.
+  // True when a base or snapshot log was replayed (grow, shrink, or
+  // snapshot replay).
   bool warm_started() const { return warm_started_; }
   // Facts replayed from the base (prefix of steps()); 0 for cold runs.
   size_t replayed_fact_count() const { return replayed_facts_; }
-  // True when this closure was produced by Retract().
+  // True when the build shrank its base by DRed.
   bool retracted() const { return retracted_; }
   // Over-deleted base facts (the DRed cone); 0 unless retracted().
   size_t retracted_fact_count() const { return retracted_facts_; }
@@ -524,56 +515,60 @@ class Closure {
   // only the rules it can complete.
   void BuildPremiseIndex();
 
-  // --- warm start ---
-  // Maps every base occurrence id to its id in set_ by matching roots by
-  // function name (k-th duplicate to k-th duplicate) and shifting each
-  // root's contiguous id range. False when the base is incompatible.
-  bool ComputeWarmMap(const Closure& base, std::vector<int>& old_to_new) const;
-  // Replays the base derivation log: every step is appended verbatim
-  // (ids translated) and applied to the tables, but never enqueued —
-  // Seed() + Run() then derive only the delta on top.
-  void ReplayBase(const Closure& base, const std::vector<int>& old_to_new);
-  // ReplayBase for a snapshot record: identical table effects, reading
-  // (step, premises, rule label) straight out of the view, ids already
-  // in this set's space.
-  void ReplayPackedSteps(const ReplayView& view);
-  // Applies one already-logged fact to the tables without enqueueing it
-  // (the replay half of ReplayBase / ReplayPackedSteps /
-  // ReplaySurvivors).
-  void ApplyReplayedFact(const Fact& fact, FactId id);
-  // Table/index allocation shared by every constructor.
-  void InitTables();
-
-  // --- retraction (DRed) ---
-  struct RetractTag {};
-  Closure(const unfold::UnfoldedSet& set, ClosureOptions options,
-          obs::Observability* obs, const Closure& base, RetractTag);
-  // ComputeWarmMap with the roles reversed: every root of *this* set
-  // (the reduced list) must match a distinct base root; base ids inside
-  // an unmatched (revoked) root map to 0. False when incompatible.
-  bool ComputeShrinkMap(const Closure& base,
-                        std::vector<int>& old_to_new) const;
-  // Replays the non-deleted base steps, remapping premise FactIds to
-  // the compacted log (a survivor's premises all survive — the cone is
-  // premise-closed by construction).
-  void ReplaySurvivors(const Closure& base,
-                       const std::vector<int>& old_to_new,
-                       const std::vector<char>& deleted);
+  // --- the build: match, over-delete, replay, rederive ---
   // An over-deleted pi* fact whose endpoints (and origin occurrence)
-  // survive the shrink map, recorded in *new* id space. The rederive
-  // pass attempts exactly these conclusions instead of sweeping the
-  // pair index, keeping the cost proportional to the cone.
+  // survive the shrink, recorded in *new* id space. The rederive pass
+  // attempts exactly these conclusions instead of sweeping the pair
+  // index, keeping the cost proportional to the cone.
   struct DeletedPair {
     int a;
     int b;
     Origin origin;
   };
-  // Re-fires the structural (non-basic) rules whose conclusions may
-  // have been over-deleted: `touched` holds the surviving occurrence
-  // ids the cone mentioned, sorted unique, and `pairs` the over-deleted
-  // pi* conclusions to probe for one-step alternate support. Additions
-  // enter the frontier and propagate in Run(), which also restores any
-  // conclusion whose alternate support is itself rederived later.
+  enum class Reuse { kCold, kGrow, kShrink };
+  // The one build sequence behind both constructors: tables, the DRed
+  // over-delete when shrinking `base`, one replay of `base` or `view`
+  // (at most one is non-null), then Seed(), Rederive(), Run().
+  void Build(const Closure* base, const ReplayView* view);
+  // Table/index allocation.
+  void InitTables();
+  // Pairs the base's roots with set_'s by function name (k-th duplicate
+  // to k-th duplicate) and maps every id inside a paired base root to
+  // its id in set_ by shifting the root's contiguous range; ids of an
+  // unpaired base root map to 0. The direction is kGrow when every base
+  // root found a partner, kShrink when every root of set_ did (and the
+  // base has more), and kCold otherwise or on an options or shape
+  // mismatch.
+  Reuse MatchRoots(const Closure& base, std::vector<int>& old_to_new) const;
+  // The DRed over-delete: marks in `deleted` the cone of base steps
+  // that a shrink by `old_to_new` invalidates, and collects the
+  // surviving occurrences the cone touched (sorted unique) and its pi*
+  // conclusions for Rederive().
+  void OverDelete(const Closure& base, const std::vector<int>& old_to_new,
+                  std::vector<char>& deleted, std::vector<int>& touched,
+                  std::vector<DeletedPair>& pairs);
+  // The one replay loop. Appends every step of `source` (a live
+  // closure's log or a snapshot record's) to this closure's log and
+  // applies it to the tables, but never enqueues it — Seed() + Run()
+  // then derive only what is missing on top. `old_to_new` (optional)
+  // translates occurrence ids; `skip` (optional) drops the marked steps
+  // and renumbers the survivors' premises (a survivor's premises all
+  // survive — the over-delete cone is premise-closed by construction).
+  template <typename Source>
+  void Replay(const Source& source, const std::vector<int>* old_to_new,
+              const std::vector<char>* skip);
+  // Applies one already-logged fact to the tables without enqueueing it
+  // (the table half of Replay).
+  void ApplyReplayedFact(const Fact& fact, FactId id);
+  // Re-fires the structural (non-basic) rules at `touched` (sorted
+  // unique): the surviving occurrences a shrink's cone mentioned, whose
+  // conclusions may have been over-deleted, or the occurrences a grow
+  // added, which the replayed facts never reached. `pairs` holds the
+  // over-deleted pi* conclusions to probe for one-step alternate
+  // support. Additions enter the frontier and propagate in Run(), which
+  // also restores any conclusion whose alternate support is itself
+  // rederived later. Empty lists make it a no-op (cold and snapshot
+  // builds).
   void Rederive(const std::vector<int>& touched,
                 const std::vector<DeletedPair>& pairs);
   void RederiveNode(int id);
@@ -632,7 +627,7 @@ class Closure {
   // Structural half of an equality merge: union by rank plus the merge
   // of every per-class table (members, reads/writes, touching calls,
   // trigger lists, origin sets, pi* re-keying). Shared between
-  // ProcessEqMerge and warm-start replay; returns the surviving root.
+  // ProcessEqMerge and Replay; returns the surviving root.
   int MergeClasses(int ra, int rb);
   void EvalRule(EvalCtx& ctx, const unfold::Node* call,
                 const BasicRule& rule);

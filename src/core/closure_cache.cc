@@ -9,6 +9,23 @@
 
 namespace oodbsec::core {
 
+std::vector<std::string> SortedRootSet(std::vector<std::string> roots) {
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  return roots;
+}
+
+std::shared_ptr<const CachedAnalysis> MakeCachedAnalysis(
+    std::vector<std::string> roots, std::unique_ptr<unfold::UnfoldedSet> set,
+    std::unique_ptr<Closure> closure) {
+  auto entry = std::make_shared<CachedAnalysis>();
+  entry->sorted_roots = SortedRootSet(roots);
+  entry->roots = std::move(roots);
+  entry->set = std::move(set);
+  entry->closure = std::move(closure);
+  return entry;
+}
+
 ClosureCache::ClosureCache(const schema::Schema& schema,
                            ClosureOptions options, size_t capacity,
                            obs::Observability* obs,
@@ -42,9 +59,7 @@ std::shared_ptr<const CachedAnalysis> ClosureCache::FindExact(
 
 std::shared_ptr<const CachedAnalysis> ClosureCache::FindLargestSubset(
     const std::vector<std::string>& roots) const {
-  std::vector<std::string> sorted(roots);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<std::string> sorted = SortedRootSet(roots);
   const CachedAnalysis* best = nullptr;
   std::shared_ptr<const CachedAnalysis> best_entry;
   for (const auto& [key, slot] : entries_) {
@@ -72,9 +87,7 @@ std::shared_ptr<const CachedAnalysis> ClosureCache::FindLargestSubset(
 
 std::shared_ptr<const CachedAnalysis> ClosureCache::FindSmallestSuperset(
     const std::vector<std::string>& roots) const {
-  std::vector<std::string> sorted(roots);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<std::string> sorted = SortedRootSet(roots);
   const CachedAnalysis* best = nullptr;
   std::shared_ptr<const CachedAnalysis> best_entry;
   for (const auto& [key, slot] : entries_) {
@@ -104,30 +117,6 @@ std::shared_ptr<const CachedAnalysis> ClosureCache::FindSmallestSuperset(
   return best_entry;
 }
 
-std::shared_ptr<const CachedAnalysis> ClosureCache::BuildRetracted(
-    const std::vector<std::string>& roots, const CachedAnalysis& base,
-    obs::SpanId parent) const {
-  if (base.closure == nullptr) return nullptr;
-  obs::ScopedSpan span(obs_ != nullptr ? &obs_->tracer : nullptr,
-                       "closure.build", parent);
-  auto set_or = unfold::UnfoldedSet::Build(schema_, roots, obs_);
-  if (!set_or.ok()) return nullptr;
-  std::unique_ptr<unfold::UnfoldedSet> set = std::move(set_or).value();
-  std::unique_ptr<Closure> closure =
-      Closure::Retract(*set, options_, obs_, *base.closure);
-  if (closure == nullptr) return nullptr;
-  auto entry = std::make_shared<CachedAnalysis>();
-  entry->roots = roots;
-  entry->sorted_roots = roots;
-  std::sort(entry->sorted_roots.begin(), entry->sorted_roots.end());
-  entry->sorted_roots.erase(
-      std::unique(entry->sorted_roots.begin(), entry->sorted_roots.end()),
-      entry->sorted_roots.end());
-  entry->closure = std::move(closure);
-  entry->set = std::move(set);
-  return entry;
-}
-
 std::shared_ptr<const CachedAnalysis> ClosureCache::RetractEntry(
     const std::vector<std::string>& old_roots,
     const std::vector<std::string>& new_roots) {
@@ -137,34 +126,24 @@ std::shared_ptr<const CachedAnalysis> ClosureCache::RetractEntry(
   if (resident != entries_.end()) return resident->second.entry;
   auto base = entries_.find(KeyFor(old_roots));
   if (base == entries_.end()) return nullptr;
-  std::shared_ptr<const CachedAnalysis> entry =
-      BuildRetracted(new_roots, *base->second.entry);
-  if (entry == nullptr) return nullptr;
-  CountRetract();
-  Insert(entry);
-  return entry;
+  auto built = BuildDetached(new_roots, base->second.entry.get());
+  if (!built.ok()) return nullptr;
+  CountBuild(*built.value()->closure);
+  Insert(built.value());
+  return std::move(built).value();
 }
 
 common::Result<std::shared_ptr<const CachedAnalysis>>
 ClosureCache::BuildDetached(const std::vector<std::string>& roots,
-                            const CachedAnalysis* warm_base,
+                            const CachedAnalysis* base,
                             obs::SpanId parent) const {
   obs::ScopedSpan span(obs_ != nullptr ? &obs_->tracer : nullptr,
                        "closure.build", parent);
   OODBSEC_ASSIGN_OR_RETURN(std::unique_ptr<unfold::UnfoldedSet> set,
                            unfold::UnfoldedSet::Build(schema_, roots, obs_));
-  auto entry = std::make_shared<CachedAnalysis>();
-  entry->roots = roots;
-  entry->sorted_roots = roots;
-  std::sort(entry->sorted_roots.begin(), entry->sorted_roots.end());
-  entry->sorted_roots.erase(
-      std::unique(entry->sorted_roots.begin(), entry->sorted_roots.end()),
-      entry->sorted_roots.end());
-  entry->closure = std::make_unique<Closure>(
-      *set, options_, obs_,
-      warm_base != nullptr ? warm_base->closure.get() : nullptr);
-  entry->set = std::move(set);
-  return std::shared_ptr<const CachedAnalysis>(std::move(entry));
+  auto closure = std::make_unique<Closure>(
+      *set, options_, obs_, base != nullptr ? base->closure.get() : nullptr);
+  return MakeCachedAnalysis(roots, std::move(set), std::move(closure));
 }
 
 void ClosureCache::Insert(std::shared_ptr<const CachedAnalysis> entry) {
@@ -190,25 +169,18 @@ void ClosureCache::Insert(std::shared_ptr<const CachedAnalysis> entry) {
                    Slot{std::move(entry), lru_.begin()});
 }
 
-void ClosureCache::CountRetract() {
-  ++stats_.retract_builds;
-  if (obs_ != nullptr) {
-    obs_->metrics.counter("closure.cache.retract_builds")->Increment();
-  }
-}
-
-void ClosureCache::CountBuild(bool warm) {
-  if (warm) {
+void ClosureCache::CountBuild(const Closure& closure) {
+  const char* counter = "closure.cache.cold_builds";
+  if (closure.retracted()) {
+    ++stats_.retract_builds;
+    counter = "closure.cache.retract_builds";
+  } else if (closure.warm_started()) {
     ++stats_.warm_builds;
+    counter = "closure.cache.warm_builds";
   } else {
     ++stats_.cold_builds;
   }
-  if (obs_ != nullptr) {
-    obs_->metrics
-        .counter(warm ? "closure.cache.warm_builds"
-                      : "closure.cache.cold_builds")
-        ->Increment();
-  }
+  if (obs_ != nullptr) obs_->metrics.counter(counter)->Increment();
 }
 
 std::shared_ptr<const CachedAnalysis> ClosureCache::FindSnapshot(
@@ -287,19 +259,13 @@ ClosureCache::GetOrBuild(const std::vector<std::string>& roots) {
     Insert(loaded);
     return loaded;
   }
-  if (std::shared_ptr<const CachedAnalysis> super =
-          FindSmallestSuperset(roots)) {
-    if (std::shared_ptr<const CachedAnalysis> entry =
-            BuildRetracted(roots, *super)) {
-      CountRetract();
-      Insert(entry);
-      return entry;
-    }
-  }
-  std::shared_ptr<const CachedAnalysis> base = FindLargestSubset(roots);
+  // Shrinking a close superset beats growing a subset (a role that lost
+  // a capability).
+  std::shared_ptr<const CachedAnalysis> base = FindSmallestSuperset(roots);
+  if (base == nullptr) base = FindLargestSubset(roots);
   OODBSEC_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAnalysis> entry,
                            BuildDetached(roots, base.get()));
-  CountBuild(entry->closure->warm_started());
+  CountBuild(*entry->closure);
   Insert(entry);
   return entry;
 }

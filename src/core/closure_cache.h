@@ -8,16 +8,16 @@
 // entries as points in the subset lattice of root sets:
 //
 //   * exact hit: the request's root list is cached — return it;
-//   * retract build: otherwise, when a cached entry's roots are a
-//     *superset* of the request's and close enough (at least half the
-//     superset's roots remain), shrink it by DRed retraction
-//     (core::Closure::Retract) instead of growing a subset;
-//   * warm build: otherwise find the largest cached entry whose roots
-//     are a subset of the request's, replay its derivation log into the
-//     new closure (core::Closure's warm_base), and run only the delta;
-//   * cold build: no subset is cached — full fixpoint.
+//   * otherwise one base is picked: the smallest cached *superset* of
+//     the request close enough to shrink (at least half its roots
+//     remain), else the largest cached *subset*, else none. The new
+//     closure is built from it (core::Closure's `base`), which infers
+//     the direction from the two root lists: a superset shrinks by DRed
+//     retraction ("retract build"), a subset's derivation log is
+//     replayed and only the delta derived ("warm build"), and without
+//     a base the fixpoint runs in full ("cold build").
 //
-// Retraction is copy-on-write: the superset entry is never mutated (it
+// Shrinking is copy-on-write: the superset entry is never mutated (it
 // may be shared with concurrent readers); the shrunk closure becomes a
 // brand-new entry under the reduced root list's key.
 //
@@ -88,16 +88,25 @@ struct CachedAnalysis {
   std::unique_ptr<Closure> closure;
 };
 
+// The subset-lattice key of a root list: sorted, duplicates dropped.
+std::vector<std::string> SortedRootSet(std::vector<std::string> roots);
+
+// Assembles one entry from an unfolded `set` and its `closure` (which
+// borrows the set), keyed by SortedRootSet(roots).
+std::shared_ptr<const CachedAnalysis> MakeCachedAnalysis(
+    std::vector<std::string> roots, std::unique_ptr<unfold::UnfoldedSet> set,
+    std::unique_ptr<Closure> closure);
+
 class ClosureCache {
  public:
   static constexpr size_t kDefaultCapacity = 64;
 
   struct Stats {
     uint64_t exact_hits = 0;
-    uint64_t warm_builds = 0;  // built from a cached subset's facts
+    uint64_t warm_builds = 0;  // grown from a cached subset's facts
     uint64_t cold_builds = 0;
-    // Built by DRed retraction from a cached superset (GetOrBuild's
-    // retract path and RetractEntry's revoke fast path).
+    // Shrunk by DRed retraction from a cached superset (GetOrBuild's
+    // superset base and RetractEntry's revoke fast path).
     uint64_t retract_builds = 0;
     uint64_t evictions = 0;
     // L2 accounting, all zero when no snapshot store is configured.
@@ -143,30 +152,22 @@ class ClosureCache {
   std::shared_ptr<const CachedAnalysis> FindSmallestSuperset(
       const std::vector<std::string>& roots) const;
 
-  // Unfolds `roots` and computes the closure, warm-started from
-  // `warm_base` when given (incompatible bases fall back cold — see
-  // Closure). Never touches cache state; safe on worker threads.
+  // Unfolds `roots` and computes the closure from `base` when given:
+  // grown from a subset, shrunk from a superset, cold otherwise (see
+  // core::Closure). Never touches cache state; safe on worker threads.
   common::Result<std::shared_ptr<const CachedAnalysis>> BuildDetached(
       const std::vector<std::string>& roots,
-      const CachedAnalysis* warm_base = nullptr,
+      const CachedAnalysis* base = nullptr,
       obs::SpanId parent = obs::kNoSpan) const;
 
-  // Shrinks `base` to `roots` by DRed retraction (Closure::Retract)
-  // into a brand-new entry; `base` itself is never mutated. Never
-  // touches cache state; safe on worker threads. nullptr when the base
-  // is incompatible or the unfold fails — callers fall back to the
-  // warm/cold build path (which surfaces real errors).
-  std::shared_ptr<const CachedAnalysis> BuildRetracted(
-      const std::vector<std::string>& roots, const CachedAnalysis& base,
-      obs::SpanId parent = obs::kNoSpan) const;
-
-  // The revoke fast path: replaces the resident entry for `old_roots`
-  // with one for `new_roots` by retraction, copy-on-write (the old
+  // The revoke fast path: builds the entry for `new_roots` — a
+  // sub-multiset of `old_roots` — from the resident entry for
+  // `old_roots` (BuildDetached, so it shrinks), copy-on-write (the old
   // entry object stays immutable for concurrent holders; the new entry
   // is Insert()ed under its own key). Returns the already-resident
   // entry for `new_roots` when one exists (revoke-then-regrant churn
   // returns to a cached state — nothing to build). nullptr when
-  // `old_roots` is not resident or retraction is not applicable; the
+  // `old_roots` is not resident or `new_roots` does not unfold; the
   // caller falls back to the ordinary GetOrBuild path on next use.
   std::shared_ptr<const CachedAnalysis> RetractEntry(
       const std::vector<std::string>& old_roots,
@@ -198,9 +199,9 @@ class ClosureCache {
   size_t LoadCacheSnapshot();
 
   // FindExact, else FindSnapshot (inserted into L1 on a hit), else
-  // BuildRetracted from the smallest qualifying cached superset, else
-  // BuildDetached from the largest cached subset (warm when one exists,
-  // cold otherwise) and Insert. Counts accordingly.
+  // BuildDetached from one base — the smallest qualifying cached
+  // superset, else the largest cached subset, else none — and Insert.
+  // Counts accordingly.
   common::Result<std::shared_ptr<const CachedAnalysis>> GetOrBuild(
       const std::vector<std::string>& roots);
 
@@ -219,8 +220,8 @@ class ClosureCache {
   };
 
   static std::string KeyFor(const std::vector<std::string>& roots);
-  void CountBuild(bool warm);
-  void CountRetract();
+  // Counts a fresh build by the direction its closure took.
+  void CountBuild(const Closure& closure);
 
   const schema::Schema& schema_;
   ClosureOptions options_;

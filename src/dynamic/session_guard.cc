@@ -224,9 +224,7 @@ bool SessionGuard::IsRelevant(const std::string& user,
 Result<std::shared_ptr<const CachedAnalysis>> SessionGuard::LookupOrBuild(
     const std::vector<std::string>& roots,
     const std::shared_ptr<const CachedAnalysis>& session_base) {
-  std::vector<std::string> sorted(roots);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<std::string> sorted = core::SortedRootSet(roots);
 
   std::shared_ptr<const CachedAnalysis> base;
   {
@@ -506,19 +504,19 @@ Result<GuardDecision> SessionGuard::ColdDecision(
     const std::vector<core::Requirement>& requirements,
     const std::string& user, const std::set<std::string>& functions,
     core::ClosureOptions options) {
-  // A transient user carrying exactly the session's function set: the
-  // closure then ranges over what was actually exercised, not the full
-  // grant list.
-  schema::User session_user(user);
-  for (const std::string& fn : functions) session_user.Grant(fn);
+  // The closure ranges over exactly the session's function set — what
+  // was actually exercised, not the full grant list.
   OODBSEC_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::UserAnalysis> analysis,
-      core::UserAnalysis::Build(schema, session_user, options));
+      std::unique_ptr<unfold::UnfoldedSet> set,
+      unfold::UnfoldedSet::Build(schema,
+                                 core::AnalysisRoots(schema, functions)));
+  core::Closure closure(*set, options);
   GuardDecision decision;
   for (const core::Requirement& requirement : requirements) {
     if (requirement.user != user) continue;
-    OODBSEC_ASSIGN_OR_RETURN(core::AnalysisReport report,
-                             analysis->Check(requirement));
+    OODBSEC_ASSIGN_OR_RETURN(
+        core::AnalysisReport report,
+        core::CheckAgainstClosure(*set, closure, requirement));
     if (!report.satisfied) {
       decision.allowed = false;
       decision.violated_requirement = requirement.ToString();

@@ -50,7 +50,7 @@
 //   3. Session-delta recheck: on a miss, the session's live closure is
 //      the warm base — the query's new relevant functions are seeded as
 //      a delta frontier into the semi-naive fixpoint via the premise
-//      trigger index (core::Closure warm_base ctor), deriving only the
+//      trigger index (core::Closure's base constructor), deriving only the
 //      delta at O(delta) cost. Warm verdicts are digest-equal to cold
 //      (Closure::FactSetDigest); dynamic_test asserts this across
 //      randomized churn.
@@ -202,11 +202,12 @@ class SessionGuard {
   common::Status SaveCacheSnapshot() const;
   size_t LoadCacheSnapshot();
 
-  // The pre-incremental reference path: a cold UserAnalysis over
-  // exactly `functions` (plus constraints), checked against every
-  // requirement naming `user`. The incremental guard's verdicts are
-  // asserted equal to this across randomized churn (dynamic_test) and
-  // it is the baseline the guard benches compare against.
+  // The pre-incremental reference path: a cold closure over exactly
+  // AnalysisRoots(schema, functions) (`functions` plus the integrity
+  // constraints), checked against every requirement naming `user`. The
+  // incremental guard's verdicts are asserted equal to this across
+  // randomized churn (dynamic_test) and it is the baseline the guard
+  // benches compare against.
   static common::Result<GuardDecision> ColdDecision(
       const schema::Schema& schema,
       const std::vector<core::Requirement>& requirements,

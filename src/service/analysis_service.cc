@@ -37,34 +37,6 @@ AnalysisService::AnalysisService(core::AnalysisSession& session,
       retractions_fallback_(
           session.metrics().counter("session.retractions_fallback")) {}
 
-AnalysisService::AnalysisService(const schema::Schema& schema,
-                                 const schema::UserRegistry& users,
-                                 ServiceOptions options)
-    : owned_session_(std::make_unique<core::AnalysisSession>(
-          schema, users,
-          core::SessionOptions{.closure = options.closure,
-                               .threads = options.threads,
-                               .cache_capacity = options.cache_capacity,
-                               .snapshot_store = options.snapshot_store})),
-      session_(owned_session_.get()),
-      pool_(session_->options().threads, &session_->obs()),
-      cache_(schema, options.closure, options.cache_capacity,
-             &session_->obs(), session_->options().snapshot_store),
-      closures_built_(session_->metrics().counter("service.closures_built")),
-      signature_hits_(session_->metrics().counter("service.signature_hits")),
-      requirement_hits_(
-          session_->metrics().counter("service.requirement_hits")),
-      checks_(session_->metrics().counter("service.checks")),
-      warm_starts_(session_->metrics().counter("service.warm_starts")),
-      retract_builds_(
-          session_->metrics().counter("service.retract_builds")),
-      snapshot_hits_(session_->metrics().counter("service.snapshot_hits")),
-      revokes_(session_->metrics().counter("session.revokes")),
-      retractions_fast_(
-          session_->metrics().counter("session.retractions_fast")),
-      retractions_fallback_(
-          session_->metrics().counter("session.retractions_fallback")) {}
-
 ServiceStats AnalysisService::Stats() const {
   ServiceStats stats;
   stats.closures_built = static_cast<size_t>(closures_built_->value());
@@ -81,67 +53,21 @@ ServiceStats AnalysisService::Stats() const {
   return stats;
 }
 
-common::Result<core::AnalysisReport> AnalysisService::Check(
-    const core::Requirement& requirement) {
-  obs::ScopedSpan span(&session_->tracer(), "service.check");
-  const schema::User* user = session_->users().Find(requirement.user);
-  if (user == nullptr) {
-    return common::NotFoundError(
-        common::StrCat("unknown user '", requirement.user, "'"));
-  }
-  checks_->Increment();
-  std::vector<std::string> roots =
-      core::AnalysisRoots(session_->schema(), *user);
-  std::shared_ptr<const CachedAnalysis> entry = cache_.FindExact(roots);
-  if (entry != nullptr) {
-    signature_hits_->Increment();
-    requirement_hits_->Increment();
-  } else {
-    // L2 before building: a persisted snapshot replays in a fraction of
-    // even a warm fixpoint and lands in L1 for the rest of the process.
-    entry = cache_.FindSnapshot(roots);
-    if (entry != nullptr) {
-      snapshot_hits_->Increment();
-      cache_.Insert(entry);
-    }
-  }
-  if (entry == nullptr) {
-    closures_built_->Increment();
-    // Shrink beats grow when a close-enough superset is cached (a role
-    // that lost a capability): DRed-retract its closure. Otherwise
-    // warm-start up from the largest cached subset, or run cold.
-    if (std::shared_ptr<const CachedAnalysis> super =
-            cache_.FindSmallestSuperset(roots)) {
-      entry = cache_.BuildRetracted(roots, *super);
-    }
-    if (entry != nullptr) {
-      retract_builds_->Increment();
-    } else {
-      std::shared_ptr<const CachedAnalysis> base =
-          cache_.FindLargestSubset(roots);
-      OODBSEC_ASSIGN_OR_RETURN(entry,
-                               cache_.BuildDetached(roots, base.get()));
-      if (entry->closure->warm_started()) warm_starts_->Increment();
-    }
-    cache_.Insert(entry);
-  }
-  return core::CheckAgainstClosure(*entry->set, *entry->closure, requirement,
-                                   &session_->obs());
-}
-
 common::Result<std::vector<core::AnalysisReport>> AnalysisService::CheckBatch(
     const std::vector<core::Requirement>& requirements) {
   const size_t n = requirements.size();
   obs::Tracer* tracer = &session_->tracer();
   obs::ScopedSpan batch_span(tracer, "batch");
 
-  // Phase 1 (sequential): resolve users, derive signatures, and plan one
-  // build per distinct uncached signature, pairing each with its best
-  // warm-start base (largest cached subset) up front — lookups stay in
-  // this sequential phase, so the parallel phase below never touches
-  // cache state. Unknown users are recorded, not returned yet — the
-  // error surfaced at the end must belong to the *earliest* failing
-  // requirement, which may instead fail later at build or check time.
+  // Phase 1 (sequential): resolve users through the session (its
+  // grant/revoke overlay included), derive signatures, and plan one
+  // build per distinct uncached signature, pairing each with its base —
+  // the smallest close cached superset, else the largest cached subset —
+  // up front: lookups stay in this sequential phase, so the parallel
+  // phase below never touches cache state. Unknown users are recorded,
+  // not returned yet — the error surfaced at the end must belong to the
+  // *earliest* failing requirement, which may instead fail later at
+  // build or check time.
   struct Planned {
     const schema::User* user = nullptr;  // nullptr: unknown user
     std::string signature;
@@ -150,8 +76,7 @@ common::Result<std::vector<core::AnalysisReport>> AnalysisService::CheckBatch(
   };
   struct Build {
     std::vector<std::string> roots;
-    std::shared_ptr<const CachedAnalysis> warm_base;     // may be null
-    std::shared_ptr<const CachedAnalysis> retract_base;  // may be null
+    std::shared_ptr<const CachedAnalysis> base;  // may be null
     common::Result<std::shared_ptr<const CachedAnalysis>> result =
         common::InternalError("closure not built");
   };
@@ -166,7 +91,7 @@ common::Result<std::vector<core::AnalysisReport>> AnalysisService::CheckBatch(
     std::unordered_set<std::string> counted_signatures;
     for (size_t i = 0; i < n; ++i) {
       checks_->Increment();
-      const schema::User* user = session_->users().Find(requirements[i].user);
+      const schema::User* user = session_->FindUser(requirements[i].user);
       if (user == nullptr) continue;
       planned[i].user = user;
       std::vector<std::string> roots =
@@ -199,40 +124,27 @@ common::Result<std::vector<core::AnalysisReport>> AnalysisService::CheckBatch(
       }
       closures_built_->Increment();
       build_index.emplace(planned[i].signature, builds.size());
-      // Both shrink and grow bases are picked here, in the sequential
-      // phase; the worker tries retraction first and falls back to the
-      // warm/cold build — a deterministic function of its inputs.
-      std::shared_ptr<const CachedAnalysis> warm_base =
-          cache_.FindLargestSubset(roots);
-      std::shared_ptr<const CachedAnalysis> retract_base =
+      // Shrinking a close superset beats growing a subset (a role that
+      // lost a capability).
+      std::shared_ptr<const CachedAnalysis> base =
           cache_.FindSmallestSuperset(roots);
-      builds.push_back(Build{std::move(roots), std::move(warm_base),
-                             std::move(retract_base)});
+      if (base == nullptr) base = cache_.FindLargestSubset(roots);
+      builds.push_back(Build{std::move(roots), std::move(base)});
     }
   }
 
   // Phase 2 (parallel): compute the distinct closures. Workers write to
   // disjoint pre-allocated slots; Wait() orders those writes before the
   // sequential phase below reads them. BuildDetached is const and the
-  // warm bases are pinned by shared_ptr, so eviction elsewhere cannot
+  // bases are pinned by shared_ptr, so eviction elsewhere cannot
   // disturb a replay in progress.
   {
     obs::ScopedSpan build_span(tracer, "batch.build");
     obs::SpanId build_parent = build_span.id();
     for (Build& build : builds) {
       pool_.Submit([this, &build, build_parent] {
-        if (build.retract_base != nullptr) {
-          std::shared_ptr<const CachedAnalysis> entry =
-              cache_.BuildRetracted(build.roots, *build.retract_base,
-                                    build_parent);
-          if (entry != nullptr) {
-            build.result = std::move(entry);
-            return;
-          }
-        }
         build.result =
-            cache_.BuildDetached(build.roots, build.warm_base.get(),
-                                 build_parent);
+            cache_.BuildDetached(build.roots, build.base.get(), build_parent);
       });
     }
     pool_.Wait();

@@ -14,17 +14,19 @@
 //     unfold + one fixpoint. Beyond exact hits, a miss whose root list
 //     is a superset of a cached entry *warm-starts* from that entry's
 //     fact set and derives only the delta, so overlapping roles pay
-//     incremental cost, not full fixpoints. The cache is LRU-bounded
-//     (SessionOptions/ServiceOptions cache_capacity) and persists
-//     across batches; entries are shared_ptr, so eviction never
-//     invalidates in-flight work.
+//     incremental cost, not full fixpoints; a miss whose root list is a
+//     close subset of a cached entry shrinks that entry by DRed
+//     instead. The cache is LRU-bounded (SessionOptions cache_capacity)
+//     and persists across batches; entries are shared_ptr, so eviction
+//     never invalidates in-flight work.
 //   * Work-stealing parallelism. Distinct signatures' closures build
 //     concurrently; then every requirement check runs concurrently
 //     against the (immutable, read-safe) shared closures.
 //
 // The service is a consumer of core::AnalysisSession: the session owns
-// the semantic options and the observability bundle (tracer + metrics);
-// the service adds the cache and the pool. Batches run under a "batch"
+// the semantic options, the users (its grant/revoke overlay included)
+// and the observability bundle (tracer + metrics); the service adds the
+// cache and the pool. Batches run under a "batch"
 // span with plan / build / check phase children, and the cache
 // accounting lives in the session's metrics registry ("service.*"
 // counters) — ServiceStats is merely a value snapshot of those.
@@ -32,20 +34,22 @@
 // Determinism contract: CheckBatch returns reports in input order,
 // deterministically — thread count and scheduling never change any
 // verdict, flaw site, metric (outside "pool.*"), or byte of output. A
-// report's *verdict and flaw sites* always equal what sequential
-// core::CheckRequirement produces; its fact_count and derivation text
-// are additionally byte-identical whenever the serving closure was
-// built cold (an exact-signature world, e.g. disjoint role bundles).
-// A warm-started closure derives the same fact set along a different
-// route, so those two report fields may differ from the cold-run text —
-// see core::ClosureCache. On failure the error returned is the one the
+// report's *verdict and flaw sites* always equal what the session's
+// sequential core::AnalysisSession::Check produces for the same
+// requirement — users resolve through the session, grants and revokes
+// made there included; its fact_count and derivation text are
+// additionally byte-identical whenever the serving closure was built
+// cold (an exact-signature world, e.g. disjoint role bundles). A grown
+// or shrunk closure derives the same fact set along a different route,
+// so those two report fields may differ from the cold-run text — see
+// core::ClosureCache. On failure the error returned is the one the
 // *earliest failing requirement in input order* would have produced
 // sequentially.
 //
 // Single-caller contract (the one authoritative statement — other
 // layers reference this paragraph): the service parallelises
 // internally but is itself a single-caller object. Do not invoke
-// Check/CheckBatch from two threads at once, and do not share the
+// CheckBatch from two threads at once, and do not share the
 // underlying AnalysisSession between concurrently-calling services.
 // Stats()/cache_size() return value snapshots precisely so that no
 // reference into service internals outlives a call.
@@ -69,25 +73,6 @@
 
 namespace oodbsec::service {
 
-// Configuration for the convenience constructor that builds a private
-// session. Prefer constructing an AnalysisSession yourself and passing
-// it in — that is the one place options and observability live.
-struct ServiceOptions {
-  // Worker threads for closure builds and requirement checks — the
-  // across-closures pool. Independent of closure.closure_threads below.
-  int threads = 1;
-  // Fixpoint semantics; part of every cache key (except
-  // closure.closure_threads, which parallelises each build's fixpoint
-  // rounds without changing its derivation log).
-  core::ClosureOptions closure;
-  // LRU bound on cached closures (see core::ClosureCache).
-  size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
-  // Persistent L2 tier behind the closure cache (see
-  // snapshot/snapshot_store.h); forwarded into the private session's
-  // SessionOptions.
-  std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
-};
-
 // A value snapshot of the service's cache accounting (reads of the
 // "service.*" counters in the session's metrics registry). Cheap to
 // copy; no reference-returning accessor exists, by design — see the
@@ -109,9 +94,9 @@ struct ServiceStats {
   // Of closures_built, how many warm-started from a cached subset
   // instead of running a cold fixpoint.
   size_t warm_starts = 0;
-  // Of closures_built, how many were DRed-retracted from a cached
-  // superset (core::Closure::Retract) — the shrink counterpart of
-  // warm_starts. Disjoint from warm_starts.
+  // Of closures_built, how many were DRed-shrunk from a cached
+  // superset — the shrink counterpart of warm_starts. Disjoint from
+  // warm_starts.
   size_t retract_builds = 0;
   // Session-level revoke accounting, read from the shared registry's
   // "session.*" counters (satellite of the retraction work): every
@@ -147,23 +132,13 @@ struct ServiceStats {
 
 class AnalysisService {
  public:
-  // Canonical form: borrow `session` (must outlive the service; see the
-  // single-caller contract above for sharing rules). The pool size is
+  // Borrows `session` (must outlive the service; see the single-caller
+  // contract above for sharing rules). The pool size is
   // session.options().threads unless `threads_override` > 0 — the
   // override exists for callers like the shell that re-run one session
   // at different widths.
   explicit AnalysisService(core::AnalysisSession& session,
                            int threads_override = 0);
-
-  // Convenience form: builds and owns a private session over `schema`
-  // and `users` (which must outlive the service) from `options`.
-  AnalysisService(const schema::Schema& schema,
-                  const schema::UserRegistry& users,
-                  ServiceOptions options = {});
-
-  // Checks one requirement, reusing (and populating) the closure cache.
-  common::Result<core::AnalysisReport> Check(
-      const core::Requirement& requirement);
 
   // Checks every requirement. Closure builds for distinct uncached
   // signatures run in parallel, then all per-requirement checks run in
@@ -187,8 +162,7 @@ class AnalysisService {
   core::AnalysisSession& session() { return *session_; }
 
  private:
-  std::unique_ptr<core::AnalysisSession> owned_session_;
-  core::AnalysisSession* session_;  // owned_session_.get() or borrowed
+  core::AnalysisSession* session_;
   core::ThreadPool pool_;
   // Subset-lattice LRU cache of (unfolded set, closure) entries, shared
   // as shared_ptr so eviction never invalidates in-flight work (see

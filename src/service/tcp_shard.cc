@@ -849,7 +849,7 @@ common::Status ProcessBatch(std::string_view payload, WorkerAudit& audit,
     }
   }
   if (entry == nullptr) {
-    auto built = audit.cache->BuildDetached(roots, /*warm_base=*/nullptr);
+    auto built = audit.cache->BuildDetached(roots, /*base=*/nullptr);
     if (!built.ok()) {
       // Every requirement in the batch shares this signature, so the
       // earliest casualty is the batch's first input position.

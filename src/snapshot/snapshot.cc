@@ -1,6 +1,5 @@
 #include "snapshot/snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -275,15 +274,9 @@ common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
     }
   }
 
-  auto entry = std::make_shared<core::CachedAnalysis>();
-  entry->roots = roots;
-  entry->sorted_roots = std::move(roots);
-  std::sort(entry->sorted_roots.begin(), entry->sorted_roots.end());
-  entry->sorted_roots.erase(
-      std::unique(entry->sorted_roots.begin(), entry->sorted_roots.end()),
-      entry->sorted_roots.end());
-  entry->closure = std::make_unique<core::Closure>(*set, options, obs, view);
-  entry->set = std::move(set);
+  auto closure = std::make_unique<core::Closure>(*set, options, obs, view);
+  std::shared_ptr<const core::CachedAnalysis> entry = core::MakeCachedAnalysis(
+      std::move(roots), std::move(set), std::move(closure));
 
   // Defence in depth: the replayed closure must reproduce the saved
   // fact set bit for bit. A mismatch means the inference rules changed
@@ -296,7 +289,7 @@ common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
     obs->metrics.counter("snapshot.load.facts")
         ->Increment(entry->closure->fact_count());
   }
-  return std::shared_ptr<const core::CachedAnalysis>(std::move(entry));
+  return entry;
 }
 
 }  // namespace oodbsec::snapshot

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/strings.h"
+#include "core/analysis_session.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
 
@@ -309,20 +310,25 @@ Result<Workspace> LoadWorkspaceFile(const std::string& path) {
 
 Result<std::vector<core::AnalysisReport>> CheckAllRequirements(
     const Workspace& workspace, core::ClosureOptions options) {
+  core::SessionOptions session_options;
+  session_options.closure = options;
+  core::AnalysisSession session(*workspace.schema, *workspace.users,
+                                session_options);
   std::vector<core::AnalysisReport> reports;
+  // One closure per user, shared by that user's requirements.
   std::map<std::string, std::unique_ptr<core::UserAnalysis>> analyses;
   for (const core::Requirement& req : workspace.requirements) {
     auto it = analyses.find(req.user);
     if (it == analyses.end()) {
-      OODBSEC_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::UserAnalysis> analysis,
-          core::UserAnalysis::Build(*workspace.schema,
-                                    *workspace.users->Find(req.user),
-                                    options));
+      // LoadWorkspace rejects requirements that name unknown users.
+      OODBSEC_ASSIGN_OR_RETURN(std::unique_ptr<core::UserAnalysis> analysis,
+                               session.BuildUser(*session.FindUser(req.user)));
       it = analyses.emplace(req.user, std::move(analysis)).first;
     }
-    OODBSEC_ASSIGN_OR_RETURN(core::AnalysisReport report,
-                             it->second->Check(req));
+    OODBSEC_ASSIGN_OR_RETURN(
+        core::AnalysisReport report,
+        core::CheckAgainstClosure(it->second->set(), it->second->closure(),
+                                  req, &session.obs()));
     reports.push_back(std::move(report));
   }
   return reports;

@@ -103,9 +103,9 @@ struct Binder {
 // so the root's subtree always occupies the contiguous id range
 // [first_node_id, body->id] and has the same shape (and the same
 // id-minus-first_node_id offsets) no matter which root list it appears
-// in or at which position. Warm-start closure seeding
-// (core::Closure's warm_base) relies on this invariant to translate
-// fact node ids between two unfolds that share root functions.
+// in or at which position. Building a closure from a base (core::Closure's
+// `base` constructor, growing or shrinking) relies on this invariant to
+// translate fact node ids between two unfolds that share root functions.
 struct Root {
   std::string function_name;
   schema::Callable callable;

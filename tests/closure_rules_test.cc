@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "core/requirement.h"
@@ -312,7 +313,7 @@ TEST(Table2Sites, IndirectSitesSeeBoundExpressions) {
   ASSERT_TRUE(users.Grant("u", "wrap").ok());
   auto req = ParseRequirementString("(u, leak(x : pa))");
   ASSERT_TRUE(req.ok());
-  auto report = CheckRequirement(*schema, users, req.value());
+  auto report = AnalysisSession(*schema, users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   // leak's argument inside wrap is r_a(o): perturbable via object
   // choice -> the indirect invocation site violates the requirement.
@@ -328,7 +329,7 @@ TEST(Table2Sites, FunctionNeverInvokedIsSatisfied) {
   ASSERT_TRUE(users.Grant("u", "other").ok());
   auto req = ParseRequirementString("(u, leak(x : pa) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = CheckRequirement(*schema, users, req.value());
+  auto report = AnalysisSession(*schema, users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->satisfied);
 }
@@ -344,13 +345,13 @@ TEST(Table2Sites, AllListedCapabilitiesMustHoldAtOneSite) {
   // Without w_a: pi holds (invert from observed result)...
   auto pi_req = ParseRequirementString("(u, r_a(x) : pi)");
   ASSERT_TRUE(pi_req.ok());
-  auto pi_report = CheckRequirement(*schema, users, pi_req.value());
+  auto pi_report = AnalysisSession(*schema, users).Check(pi_req.value());
   ASSERT_TRUE(pi_report.ok());
   EXPECT_FALSE(pi_report->satisfied);
   // ...but pi together with ta does not (nothing grants write access).
   auto both_req = ParseRequirementString("(u, r_a(x) : pi : ta)");
   ASSERT_TRUE(both_req.ok());
-  auto both_report = CheckRequirement(*schema, users, both_req.value());
+  auto both_report = AnalysisSession(*schema, users).Check(both_req.value());
   ASSERT_TRUE(both_report.ok());
   EXPECT_TRUE(both_report->satisfied);
 }

@@ -6,6 +6,7 @@
 // known-true observation.
 #include <gtest/gtest.h>
 
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/requirement.h"
 #include "schema/user.h"
@@ -63,7 +64,7 @@ TEST(ConstraintsTest, ConstraintKnowledgeLeaksThroughGrantedReads) {
 
   auto req = ParseRequirementString("(clerk, r_salary(x) : pi)");
   ASSERT_TRUE(req.ok());
-  auto report = CheckRequirement(*schema, users, req.value());
+  auto report = AnalysisSession(*schema, users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied)
       << "knowing the budget plus the regulation bounds the salary";
@@ -84,7 +85,7 @@ TEST(ConstraintsTest, WithoutTheConstraintTheSameGrantIsSafe) {
 
   auto req = ParseRequirementString("(clerk, r_salary(x) : pi)");
   ASSERT_TRUE(req.ok());
-  auto report = CheckRequirement(*schema.value(), users, req.value());
+  auto report = AnalysisSession(*schema.value(), users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->satisfied);
 }
@@ -101,7 +102,7 @@ TEST(ConstraintsTest, ConstraintPlusWriteLeaksTotally) {
 
   auto req = ParseRequirementString("(writer, r_salary(x) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = CheckRequirement(*schema, users, req.value());
+  auto report = AnalysisSession(*schema, users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }
@@ -112,7 +113,7 @@ TEST(ConstraintsTest, UserWithNoGrantsStillSatisfiesTotalSecrecy) {
   ASSERT_TRUE(users.AddUser("nobody").ok());
   auto req = ParseRequirementString("(nobody, r_salary(x) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = CheckRequirement(*schema, users, req.value());
+  auto report = AnalysisSession(*schema, users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->satisfied);
 }

@@ -3,6 +3,7 @@
 // two worked flaws (§3.1) and the Figure 1 derivation.
 #include <gtest/gtest.h>
 
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/capability.h"
 #include "core/closure.h"
@@ -232,6 +233,8 @@ TEST(ClosureTest, AblationWriteReadEqualityBreaksFigure1) {
 struct BrokerWorld {
   std::unique_ptr<schema::Schema> schema;
   std::unique_ptr<schema::UserRegistry> users;
+  // Borrows the two above; sees users added after construction.
+  std::unique_ptr<AnalysisSession> session;
 };
 
 BrokerWorld MakeBrokerWorld() {
@@ -246,6 +249,8 @@ BrokerWorld MakeBrokerWorld() {
   EXPECT_TRUE(world.users->AddUser("updater").ok());
   EXPECT_TRUE(world.users->Grant("updater", "updateSalary").ok());
   EXPECT_TRUE(world.users->Grant("updater", "w_budget").ok());
+  world.session =
+      std::make_unique<AnalysisSession>(*world.schema, *world.users);
   return world;
 }
 
@@ -253,8 +258,7 @@ TEST(AnalyzerTest, DetectsPaperFlaw1) {
   BrokerWorld world = MakeBrokerWorld();
   auto requirement = ParseRequirementString("(clerk, r_salary(x) : ti)");
   ASSERT_TRUE(requirement.ok());
-  auto report =
-      CheckRequirement(*world.schema, *world.users, requirement.value());
+  auto report = world.session->Check(requirement.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
   ASSERT_FALSE(report->flaws.empty());
@@ -266,8 +270,7 @@ TEST(AnalyzerTest, AuditorWithoutWriteIsSafe) {
   BrokerWorld world = MakeBrokerWorld();
   auto requirement = ParseRequirementString("(auditor, r_salary(x) : ti)");
   ASSERT_TRUE(requirement.ok());
-  auto report =
-      CheckRequirement(*world.schema, *world.users, requirement.value());
+  auto report = world.session->Check(requirement.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->satisfied);
 }
@@ -281,8 +284,7 @@ TEST(AnalyzerTest, BudgetReaderLearnsSalaryPartially) {
   ASSERT_TRUE(world.users->Grant("reader", "r_budget").ok());
   auto partial = ParseRequirementString("(reader, r_salary(x) : pi)");
   ASSERT_TRUE(partial.ok());
-  auto report =
-      CheckRequirement(*world.schema, *world.users, partial.value());
+  auto report = world.session->Check(partial.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }
@@ -292,8 +294,7 @@ TEST(AnalyzerTest, DetectsPaperFlaw2) {
   auto requirement =
       ParseRequirementString("(updater, w_salary(a, v : pa))");
   ASSERT_TRUE(requirement.ok());
-  auto report =
-      CheckRequirement(*world.schema, *world.users, requirement.value());
+  auto report = world.session->Check(requirement.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }
@@ -306,15 +307,13 @@ TEST(AnalyzerTest, UpdaterWithoutBudgetWriteCannotFullyControlSalary) {
   ASSERT_TRUE(world.users->Grant("plain", "updateSalary").ok());
   auto total = ParseRequirementString("(plain, w_salary(a, v : ta))");
   ASSERT_TRUE(total.ok());
-  auto report =
-      CheckRequirement(*world.schema, *world.users, total.value());
+  auto report = world.session->Check(total.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->satisfied);
   // Granting w_budget flips the verdict.
   auto flagged = ParseRequirementString("(updater, w_salary(a, v : ta))");
   ASSERT_TRUE(flagged.ok());
-  auto report2 =
-      CheckRequirement(*world.schema, *world.users, flagged.value());
+  auto report2 = world.session->Check(flagged.value());
   ASSERT_TRUE(report2.ok());
   EXPECT_FALSE(report2->satisfied);
 }
@@ -327,8 +326,7 @@ TEST(AnalyzerTest, DirectGrantIsAlwaysAFlaw) {
   ASSERT_TRUE(world.users->Grant("root", "r_salary").ok());
   auto requirement = ParseRequirementString("(root, r_salary(x) : ti)");
   ASSERT_TRUE(requirement.ok());
-  auto report =
-      CheckRequirement(*world.schema, *world.users, requirement.value());
+  auto report = world.session->Check(requirement.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }
@@ -337,10 +335,10 @@ TEST(AnalyzerTest, UnknownUserOrFunctionErrors) {
   BrokerWorld world = MakeBrokerWorld();
   auto r1 = ParseRequirementString("(ghost, r_salary(x) : ti)");
   ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(CheckRequirement(*world.schema, *world.users, r1.value()).ok());
+  EXPECT_FALSE(world.session->Check(r1.value()).ok());
   auto r2 = ParseRequirementString("(clerk, nothing(x) : ti)");
   ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE(CheckRequirement(*world.schema, *world.users, r2.value()).ok());
+  EXPECT_FALSE(world.session->Check(r2.value()).ok());
 }
 
 TEST(AnalyzerTest, ArityMismatchRejected) {
@@ -348,22 +346,20 @@ TEST(AnalyzerTest, ArityMismatchRejected) {
   auto requirement =
       ParseRequirementString("(clerk, r_salary(x, y) : ti)");
   ASSERT_TRUE(requirement.ok());
-  EXPECT_FALSE(
-      CheckRequirement(*world.schema, *world.users, requirement.value())
-          .ok());
+  EXPECT_FALSE(world.session->Check(requirement.value()).ok());
 }
 
 TEST(AnalyzerTest, UserAnalysisIsReusable) {
   BrokerWorld world = MakeBrokerWorld();
-  auto analysis =
-      UserAnalysis::Build(*world.schema, *world.users->Find("clerk"));
+  auto analysis = world.session->BuildUser(*world.users->Find("clerk"));
   ASSERT_TRUE(analysis.ok()) << analysis.status();
+  const UserAnalysis& clerk = *analysis.value();
   auto r1 = ParseRequirementString("(clerk, r_salary(x) : ti)");
   auto r2 = ParseRequirementString("(clerk, r_budget(x) : ti)");
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
-  auto report1 = analysis.value()->Check(r1.value());
-  auto report2 = analysis.value()->Check(r2.value());
+  auto report1 = CheckAgainstClosure(clerk.set(), clerk.closure(), r1.value());
+  auto report2 = CheckAgainstClosure(clerk.set(), clerk.closure(), r2.value());
   ASSERT_TRUE(report1.ok());
   ASSERT_TRUE(report2.ok());
   EXPECT_FALSE(report1->satisfied);

@@ -10,6 +10,7 @@
 #include <random>
 #include <thread>
 
+#include "core/analysis_session.h"
 #include "core/closure.h"
 #include "dynamic/session_guard.h"
 #include "query/binder.h"
@@ -60,9 +61,8 @@ TEST(SessionGuardTest, StaticAnalysisWouldRejectTheGrantOutright) {
   // Baseline: A(R) over the full capability list flags the requirement,
   // so a purely static deployment cannot serve this clerk at all.
   Fixture f;
-  auto report = core::CheckRequirement(*f.workspace.schema,
-                                       *f.workspace.users,
-                                       f.workspace.requirements[0]);
+  core::AnalysisSession session(*f.workspace.schema, *f.workspace.users);
+  auto report = session.Check(f.workspace.requirements[0]);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->satisfied);
 }

@@ -2,6 +2,7 @@
 // main suites don't reach.
 #include <gtest/gtest.h>
 
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "exec/evaluator.h"
@@ -29,7 +30,8 @@ TEST(EdgeCases, EmptyCapabilityListIsAlwaysSafe) {
   ASSERT_TRUE(users.AddUser("nobody").ok());
   auto req = core::ParseRequirementString("(nobody, r_a(x) : pi)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*schema.value(), users, req.value());
+  auto report =
+      core::AnalysisSession(*schema.value(), users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->satisfied);
   EXPECT_EQ(report->node_count, 0);
@@ -66,7 +68,8 @@ TEST(EdgeCases, UnusedParameterIsHarmless) {
   // (the user supplies it), so this is flagged...
   auto req = core::ParseRequirementString("(u, ignore(o, x : ta) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*schema.value(), users, req.value());
+  auto report =
+      core::AnalysisSession(*schema.value(), users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }
@@ -83,7 +86,8 @@ TEST(EdgeCases, RequirementOnWriteResultIsSatisfiable) {
   ASSERT_TRUE(users.Grant("u", "w_a").ok());
   auto req = core::ParseRequirementString("(u, w_a(o, v) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*schema.value(), users, req.value());
+  auto report =
+      core::AnalysisSession(*schema.value(), users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }
@@ -302,7 +306,8 @@ TEST(EdgeCases, RequirementWithCapsOnEverything) {
   auto req = core::ParseRequirementString(
       "(u, get(o : ti : pi : ta : pa) : ti : pi)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*schema.value(), users, req.value());
+  auto report =
+      core::AnalysisSession(*schema.value(), users).Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_FALSE(report->satisfied);
 }

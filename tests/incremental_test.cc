@@ -2,9 +2,11 @@
 // closure (seeded from a cached subset's derivation log) must derive
 // exactly the same fact set as a cold run over the same roots — compared
 // order-insensitively via Closure::FactSetDigest(), since the two take
-// different derivation routes. Covers the stockbroker schema, randomized
-// capability lists over the scaled broker schema, the session-level
-// grant/revoke re-audit API, and the service's subset reuse.
+// different derivation routes — and so must one shrunk by DRed from a
+// superset. Covers the stockbroker schema, randomized capability lists
+// over the scaled broker schema, the direction the Closure constructor
+// infers from its base, the session-level grant/revoke re-audit API,
+// and the service's subset and superset reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_test_util.h"
 #include "common/strings.h"
 #include "core/analysis_session.h"
 #include "core/analyzer.h"
@@ -26,62 +29,6 @@
 
 namespace oodbsec::core {
 namespace {
-
-std::unique_ptr<schema::Schema> BrokerSchema() {
-  schema::SchemaBuilder builder;
-  builder.AddClass("Broker", {{"name", "string"},
-                              {"salary", "int"},
-                              {"budget", "int"},
-                              {"profit", "int"}});
-  builder.AddFunction("checkBudget", {{"broker", "Broker"}}, "bool",
-                      ">=(r_budget(broker), *(10, r_salary(broker)))");
-  builder.AddFunction("calcSalary", {{"budget", "int"}, {"profit", "int"}},
-                      "int", "budget / 10 + profit / 2");
-  builder.AddFunction(
-      "updateSalary", {{"broker", "Broker"}}, "null",
-      "w_salary(broker, calcSalary(r_budget(broker), r_profit(broker)))");
-  auto result = std::move(builder).Build();
-  EXPECT_TRUE(result.ok()) << result.status();
-  return std::move(result).value();
-}
-
-// The bench_static_closure scaled workload: `scale` broker departments
-// over one shared class, interacting through same-type argument
-// equality.
-std::unique_ptr<schema::Schema> ScaledBrokerSchema(int scale) {
-  schema::SchemaBuilder builder;
-  std::vector<schema::SchemaBuilder::AttributeSpec> attributes;
-  attributes.push_back({"name", "string"});
-  for (int i = 0; i < scale; ++i) {
-    attributes.push_back({common::StrCat("salary", i), "int"});
-    attributes.push_back({common::StrCat("budget", i), "int"});
-    attributes.push_back({common::StrCat("profit", i), "int"});
-  }
-  builder.AddClass("Broker", std::move(attributes));
-  for (int i = 0; i < scale; ++i) {
-    builder.AddFunction(
-        common::StrCat("checkBudget", i), {{"broker", "Broker"}}, "bool",
-        common::StrCat("r_budget", i, "(broker) >= 10 * r_salary", i,
-                       "(broker)"));
-    builder.AddFunction(common::StrCat("calcSalary", i),
-                        {{"budget", "int"}, {"profit", "int"}}, "int",
-                        "budget / 10 + profit / 2");
-    builder.AddFunction(
-        common::StrCat("updateSalary", i), {{"broker", "Broker"}}, "null",
-        common::StrCat("w_salary", i, "(broker, calcSalary", i, "(r_budget",
-                       i, "(broker), r_profit", i, "(broker)))"));
-  }
-  auto result = std::move(builder).Build();
-  EXPECT_TRUE(result.ok()) << result.status();
-  return std::move(result).value();
-}
-
-std::unique_ptr<unfold::UnfoldedSet> Unfold(
-    const schema::Schema& schema, const std::vector<std::string>& roots) {
-  auto set = unfold::UnfoldedSet::Build(schema, roots);
-  EXPECT_TRUE(set.ok()) << set.status();
-  return std::move(set).value();
-}
 
 TEST(WarmStartTest, StockbrokerWarmMatchesColdDigest) {
   auto schema = BrokerSchema();
@@ -138,14 +85,22 @@ TEST(WarmStartTest, IncompatibleBaseFallsBackToColdRun) {
   Closure fallback1(*set1, other, nullptr, &base);
   EXPECT_FALSE(fallback1.warm_started());
 
-  // A base root missing from the new set: ignored base, and the cold
-  // result is still correct.
+  // A base whose roots strictly contain the new list: the build shrinks
+  // it, and the result is the cold fact set.
   auto set2 = Unfold(*schema, {"checkBudget"});
-  Closure fallback2(*set2, {}, nullptr, &base);
-  EXPECT_FALSE(fallback2.warm_started());
+  Closure shrunk(*set2, {}, nullptr, &base);
+  EXPECT_TRUE(shrunk.retracted());
   Closure cold2(*set2);
-  EXPECT_EQ(fallback2.FactSetDigest(), cold2.FactSetDigest());
-  EXPECT_EQ(fallback2.fact_count(), cold2.fact_count());
+  EXPECT_EQ(shrunk.FactSetDigest(), cold2.FactSetDigest());
+
+  // Neither a subset nor a superset of the base: ignored base, a cold
+  // build through and through.
+  auto set3 = Unfold(*schema, {"checkBudget", "updateSalary"});
+  Closure fallback3(*set3, {}, nullptr, &base);
+  EXPECT_FALSE(fallback3.warm_started());
+  Closure cold3(*set3);
+  EXPECT_EQ(fallback3.FactSetDigest(), cold3.FactSetDigest());
+  EXPECT_EQ(fallback3.fact_count(), cold3.fact_count());
 }
 
 TEST(WarmStartTest, RandomizedCapabilityListsMatchColdDigest) {
@@ -293,7 +248,7 @@ TEST(SessionRecheckTest, GrantExtendsIncrementallyAndMatchesCold) {
   // capability state.
   auto fresh_users = BrokerUsers(*schema);
   ASSERT_TRUE(fresh_users->Grant("clerk", "w_budget").ok());
-  auto cold = CheckRequirement(*schema, *fresh_users, reqs[0]);
+  auto cold = AnalysisSession(*schema, *fresh_users).Check(reqs[0]);
   ASSERT_TRUE(cold.ok()) << cold.status();
   ASSERT_EQ(after.value()[0].flaws.size(), cold.value().flaws.size());
   for (size_t i = 0; i < cold.value().flaws.size(); ++i) {
@@ -358,9 +313,10 @@ TEST(ServiceSubsetReuseTest, WarmStartsAndAgreesOnVerdicts) {
   auto senior_req = ParseRequirementString("(senior, r_salary(x) : ti)");
   ASSERT_TRUE(clerk_req.ok() && senior_req.ok());
 
-  service::ServiceOptions service_options;
-  service_options.threads = 2;
-  service::AnalysisService warm_service(*schema, *users, service_options);
+  SessionOptions session_options;
+  session_options.threads = 2;
+  AnalysisSession session(*schema, *users, session_options);
+  service::AnalysisService warm_service(session);
   // Clerk's batch caches the subset bundle; senior's bundle in the next
   // batch is a strict superset of it, so its closure warm-starts.
   // (Within a single batch, subset pairing happens against the cache as
@@ -379,8 +335,8 @@ TEST(ServiceSubsetReuseTest, WarmStartsAndAgreesOnVerdicts) {
   EXPECT_FALSE(batch_reports[1].satisfied);
 
   // Same verdicts as sequential cold checks.
-  auto cold_clerk = CheckRequirement(*schema, *users, clerk_req.value());
-  auto cold_senior = CheckRequirement(*schema, *users, senior_req.value());
+  auto cold_clerk = session.Check(clerk_req.value());
+  auto cold_senior = session.Check(senior_req.value());
   ASSERT_TRUE(cold_clerk.ok() && cold_senior.ok());
   EXPECT_EQ(batch_reports[0].satisfied, cold_clerk.value().satisfied);
   EXPECT_EQ(batch_reports[1].satisfied, cold_senior.value().satisfied);
@@ -410,17 +366,15 @@ TEST(RetractTest, SingleRevokeMatchesColdDigest) {
       if (root != revoked) reduced.push_back(root);
     }
     auto reduced_set = Unfold(*schema, reduced);
-    std::unique_ptr<Closure> shrunk =
-        Closure::Retract(*reduced_set, {}, nullptr, base);
-    ASSERT_NE(shrunk, nullptr) << revoked;
-    EXPECT_TRUE(shrunk->retracted()) << revoked;
-    EXPECT_TRUE(shrunk->warm_started()) << revoked;
-    EXPECT_GT(shrunk->retracted_fact_count(), 0u) << revoked;
-    EXPECT_EQ(shrunk->replayed_fact_count() + shrunk->rederived_fact_count(),
-              shrunk->fact_count())
+    Closure shrunk(*reduced_set, {}, nullptr, &base);
+    EXPECT_TRUE(shrunk.retracted()) << revoked;
+    EXPECT_TRUE(shrunk.warm_started()) << revoked;
+    EXPECT_GT(shrunk.retracted_fact_count(), 0u) << revoked;
+    EXPECT_EQ(shrunk.replayed_fact_count() + shrunk.rederived_fact_count(),
+              shrunk.fact_count())
         << revoked;
     Closure cold(*reduced_set);
-    EXPECT_EQ(shrunk->FactSetDigest(), cold.FactSetDigest()) << revoked;
+    EXPECT_EQ(shrunk.FactSetDigest(), cold.FactSetDigest()) << revoked;
   }
 }
 
@@ -436,14 +390,13 @@ TEST(RetractTest, RevokeThenRegrantMatchesCold) {
   Closure base(*full_set);
 
   auto reduced_set = Unfold(*schema, reduced);
-  std::unique_ptr<Closure> shrunk =
-      Closure::Retract(*reduced_set, {}, nullptr, base);
-  ASSERT_NE(shrunk, nullptr);
+  Closure shrunk(*reduced_set, {}, nullptr, &base);
+  ASSERT_TRUE(shrunk.retracted());
   Closure cold_reduced(*reduced_set);
-  EXPECT_EQ(shrunk->FactSetDigest(), cold_reduced.FactSetDigest());
+  EXPECT_EQ(shrunk.FactSetDigest(), cold_reduced.FactSetDigest());
 
   auto regrown_set = Unfold(*schema, full_roots);
-  Closure regrown(*regrown_set, {}, nullptr, shrunk.get());
+  Closure regrown(*regrown_set, {}, nullptr, &shrunk);
   ASSERT_TRUE(regrown.warm_started());
   EXPECT_FALSE(regrown.retracted());
   EXPECT_EQ(regrown.FactSetDigest(), base.FactSetDigest());
@@ -470,27 +423,35 @@ TEST(RetractTest, MultiRootDepartmentRevokeMatchesCold) {
   }
   ASSERT_EQ(reduced.size(), full_roots.size() - 4);
   auto reduced_set = Unfold(*schema, reduced);
-  std::unique_ptr<Closure> shrunk =
-      Closure::Retract(*reduced_set, {}, nullptr, base);
-  ASSERT_NE(shrunk, nullptr);
+  Closure shrunk(*reduced_set, {}, nullptr, &base);
+  ASSERT_TRUE(shrunk.retracted());
   Closure cold(*reduced_set);
-  EXPECT_EQ(shrunk->FactSetDigest(), cold.FactSetDigest());
+  EXPECT_EQ(shrunk.FactSetDigest(), cold.FactSetDigest());
 }
 
-TEST(RetractTest, IncompatibleBaseReturnsNull) {
+TEST(RetractTest, IncompatibleBaseBuildsCold) {
   auto schema = BrokerSchema();
   auto base_set = Unfold(*schema, {"checkBudget", "w_budget"});
   Closure base(*base_set);
 
-  // Different options: the base's log is not valid under them.
-  auto reduced_set = Unfold(*schema, {"checkBudget"});
+  // Different options: the base's log is not valid under them, so a
+  // list the base strictly contains still builds cold.
   ClosureOptions other;
   other.pi_join_to_ti = false;
-  EXPECT_EQ(Closure::Retract(*reduced_set, other, nullptr, base), nullptr);
+  auto reduced_set = Unfold(*schema, {"checkBudget"});
+  Closure mismatched(*reduced_set, other, nullptr, &base);
+  EXPECT_FALSE(mismatched.warm_started());
+  Closure cold_reduced(*reduced_set, other);
+  EXPECT_EQ(mismatched.FactSetDigest(), cold_reduced.FactSetDigest());
+  EXPECT_EQ(mismatched.fact_count(), cold_reduced.fact_count());
 
   // A root the base never held: not a shrink of the base at all.
   auto foreign_set = Unfold(*schema, {"checkBudget", "updateSalary"});
-  EXPECT_EQ(Closure::Retract(*foreign_set, {}, nullptr, base), nullptr);
+  Closure foreign(*foreign_set, {}, nullptr, &base);
+  EXPECT_FALSE(foreign.warm_started());
+  Closure cold_foreign(*foreign_set);
+  EXPECT_EQ(foreign.FactSetDigest(), cold_foreign.FactSetDigest());
+  EXPECT_EQ(foreign.fact_count(), cold_foreign.fact_count());
 }
 
 TEST(ClosureCacheTest, GetOrBuildRetractsFromSupersetAndCountsStats) {
@@ -575,9 +536,10 @@ TEST(ServiceRetractTest, SubsetRequestRetractsFromCachedSuperset) {
   auto senior_req = ParseRequirementString("(senior, r_salary(x) : ti)");
   ASSERT_TRUE(clerk_req.ok() && senior_req.ok());
 
-  service::ServiceOptions service_options;
-  service_options.threads = 2;
-  service::AnalysisService service(*schema, *users, service_options);
+  SessionOptions session_options;
+  session_options.threads = 2;
+  AnalysisSession session(*schema, *users, session_options);
+  service::AnalysisService service(session);
   // Senior's bundle goes in first; clerk's is then a proper subset of a
   // cached entry, so its closure is built by retraction, not cold.
   auto first = service.CheckBatch({senior_req.value()});
@@ -591,7 +553,7 @@ TEST(ServiceRetractTest, SubsetRequestRetractsFromCachedSuperset) {
   EXPECT_EQ(service.Stats().warm_starts, 0u);
 
   // Same verdict as a sequential cold check.
-  auto cold_clerk = CheckRequirement(*schema, *users, clerk_req.value());
+  auto cold_clerk = session.Check(clerk_req.value());
   ASSERT_TRUE(cold_clerk.ok());
   EXPECT_EQ(second.value()[0].satisfied, cold_clerk.value().satisfied);
 }
@@ -720,7 +682,7 @@ TEST(SessionRecheckTest, RandomizedChurnAgreesWithColdChecks) {
     for (const std::string& cap : caps) {
       ASSERT_TRUE(mirror->Grant(names[u], cap).ok());
     }
-    auto cold = CheckRequirement(*schema, *mirror, req.value());
+    auto cold = AnalysisSession(*schema, *mirror).Check(req.value());
     ASSERT_TRUE(cold.ok()) << cold.status();
     ASSERT_EQ(incremental.value()[0].satisfied, cold.value().satisfied)
         << "op " << op << " user " << names[u];

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/attacks.h"
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "dynamic/session_guard.h"
 #include "query/binder.h"
@@ -95,7 +96,8 @@ TEST(IntegrationTest, ReadmeExampleBehavesAsDocumented) {
 
   auto req = core::ParseRequirementString("(teller, r_balance(x) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*schema.value(), users, req.value());
+  auto report =
+      core::AnalysisSession(*schema.value(), users).Check(req.value());
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->satisfied);
   EXPECT_FALSE(report->flaws[0].derivation.empty());

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "core/closure_cache.h"
@@ -316,7 +317,8 @@ TEST(TcpShardTest, TransportParityTriangle) {
                                      nullptr);
   ASSERT_TRUE(fork_run.ok()) << fork_run.status();
 
-  service::AnalysisService single(*fleet.schema, *fleet.users);
+  core::AnalysisSession session(*fleet.schema, *fleet.users);
+  service::AnalysisService single(session);
   auto single_run = single.CheckBatch(fleet.sheet);
   ASSERT_TRUE(single_run.ok()) << single_run.status();
 
@@ -360,7 +362,8 @@ TEST(TcpShardTest, UnknownUserErrorMatchesCheckBatchAndFork) {
                                   fork_options, nullptr);
   ASSERT_FALSE(fork_run.ok());
 
-  service::AnalysisService single(*fleet.schema, *fleet.users);
+  core::AnalysisSession session(*fleet.schema, *fleet.users);
+  service::AnalysisService single(session);
   auto single_run = single.CheckBatch(fleet.sheet);
   ASSERT_FALSE(single_run.ok());
 
@@ -386,7 +389,8 @@ TEST(TcpShardTest, UnknownUserErrorMatchesCheckBatchAndFork) {
 TEST(TcpShardTest, WorkerDeathRequeuesToSurvivor) {
   Fleet fleet = MakeFleet();
 
-  service::AnalysisService single(*fleet.schema, *fleet.users);
+  core::AnalysisSession session(*fleet.schema, *fleet.users);
+  service::AnalysisService single(session);
   auto single_run = single.CheckBatch(fleet.sheet);
   ASSERT_TRUE(single_run.ok()) << single_run.status();
 
@@ -485,7 +489,8 @@ bool KilledWorkerRequeuesWithoutSignal() {
     std::_Exit(1);
   }
 
-  service::AnalysisService single(*fleet.schema, *fleet.users);
+  core::AnalysisSession session(*fleet.schema, *fleet.users);
+  service::AnalysisService single(session);
   auto single_run = single.CheckBatch(fleet.sheet);
   std::vector<service::TcpWorkerOptions> survivor(1);
   LoopbackFleet loopback(*fleet.schema, survivor);
@@ -548,7 +553,8 @@ TEST(TcpShardTest, SnapshotWarmedFleetServesRemoteHits) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   std::shared_ptr<snapshot::SnapshotStore> store = std::move(opened).value();
 
-  service::AnalysisService single(*fleet.schema, *fleet.users);
+  core::AnalysisSession session(*fleet.schema, *fleet.users);
+  service::AnalysisService single(session);
   auto single_run = single.CheckBatch(fleet.sheet);
   ASSERT_TRUE(single_run.ok()) << single_run.status();
 
@@ -758,7 +764,8 @@ TEST(ForkShardTest, EveryRunReapsItsWorkersAndThreads) {
   ExpectNoChildrenAndOneThread("stored");
 
   // Only now may a thread pool exist: the reference batch.
-  service::AnalysisService single(*fleet.schema, *fleet.users);
+  core::AnalysisSession session(*fleet.schema, *fleet.users);
+  service::AnalysisService single(session);
   auto single_run = single.CheckBatch(fleet.sheet);
   ASSERT_TRUE(single_run.ok()) << single_run.status();
   for (size_t i = 0; i < fleet.sheet.size(); ++i) {

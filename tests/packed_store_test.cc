@@ -560,10 +560,11 @@ TEST(PackedShard, FreshProcessReplaysFromThePack) {
   {
     auto store = snapshot::OpenPackedStore(pack);
     ASSERT_TRUE(store.ok()) << store.status();
-    service::ServiceOptions options;
+    core::SessionOptions options;
     options.threads = 2;
     options.snapshot_store = store.value();
-    service::AnalysisService svc(*fleet.schema, *fleet.users, options);
+    core::AnalysisSession session(*fleet.schema, *fleet.users, options);
+    service::AnalysisService svc(session);
     auto reports = svc.CheckBatch(fleet.sheet);
     ASSERT_TRUE(reports.ok()) << reports.status();
     ASSERT_TRUE(svc.SaveCacheSnapshot().ok());
@@ -615,10 +616,11 @@ int RunPackedWorker(const std::string& pack) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 1;
   }
-  service::ServiceOptions options;
+  core::SessionOptions options;
   options.threads = 2;
   options.snapshot_store = store.value();
-  service::AnalysisService svc(*fleet.schema, *fleet.users, options);
+  core::AnalysisSession session(*fleet.schema, *fleet.users, options);
+  service::AnalysisService svc(session);
   auto reports = svc.CheckBatch(fleet.sheet);
   if (!reports.ok()) {
     std::fprintf(stderr, "%s\n", reports.status().ToString().c_str());

@@ -16,6 +16,7 @@
 
 #include "attack/attacks.h"
 #include "common/strings.h"
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "exec/evaluator.h"
@@ -219,8 +220,8 @@ TEST(AttackSoundness, SatisfiedRequirementResistsTheProbingAttack) {
   auto req =
       core::ParseRequirementString("(watcher, r_secret(x) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*workspace->schema,
-                                       *workspace->users, req.value());
+  core::AnalysisSession session(*workspace->schema, *workspace->users);
+  auto report = session.Check(req.value());
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_TRUE(report->satisfied);
 
@@ -247,8 +248,8 @@ TEST(AttackSoundness, GrantingTheWriteFlipsBothVerdictAndAttack) {
   auto req =
       core::ParseRequirementString("(watcher, r_secret(x) : ti)");
   ASSERT_TRUE(req.ok());
-  auto report = core::CheckRequirement(*workspace->schema,
-                                       *workspace->users, req.value());
+  core::AnalysisSession session(*workspace->schema, *workspace->users);
+  auto report = session.Check(req.value());
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->satisfied);
 
@@ -288,8 +289,8 @@ TEST_P(OracleSoundnessProperty, OracleNeverBeatsTheAnalyzer) {
   schema::UserRegistry users(*schema.value());
   ASSERT_TRUE(users.AddUser("u").ok());
   for (const auto& cap : caps) ASSERT_TRUE(users.Grant("u", cap).ok());
-  auto analysis = core::UserAnalysis::Build(*schema.value(),
-                                            *users.Find("u"));
+  core::AnalysisSession session(*schema.value(), users);
+  auto analysis = session.BuildUser(*users.Find("u"));
   ASSERT_TRUE(analysis.ok());
 
   std::vector<store::Database> dbs;

@@ -91,9 +91,10 @@ TEST(CapabilitySignatureTest, ClosureOptionsArePartOfTheKey) {
 
 TEST(AnalysisServiceTest, PermutedUsersShareOneClosure) {
   text::Workspace workspace = LoadRoleWorkspace();
-  service::ServiceOptions options;
+  core::SessionOptions options;
   options.threads = 4;
-  service::AnalysisService svc(*workspace.schema, *workspace.users, options);
+  core::AnalysisSession session(*workspace.schema, *workspace.users, options);
+  service::AnalysisService svc(session);
 
   auto reports = svc.CheckBatch(workspace.requirements);
   ASSERT_TRUE(reports.ok()) << reports.status();
@@ -128,7 +129,8 @@ TEST(AnalysisServiceTest, PermutedUsersShareOneClosure) {
 // answer the two questions separately — and each stays in [0, 1].
 TEST(AnalysisServiceTest, HitRatesSeparateSignatureAndRequirementReuse) {
   text::Workspace workspace = LoadRoleWorkspace();
-  service::AnalysisService svc(*workspace.schema, *workspace.users);
+  core::AnalysisSession session(*workspace.schema, *workspace.users);
+  service::AnalysisService svc(session);
 
   // Fresh service: both rates are defined (0, not NaN).
   EXPECT_EQ(svc.Stats().SignatureHitRate(), 0.0);
@@ -153,17 +155,18 @@ TEST(AnalysisServiceTest, HitRatesSeparateSignatureAndRequirementReuse) {
   EXPECT_LE(warm.RequirementHitRate(), 1.0);
 }
 
-// Single-requirement Check() accounting: the first call builds, later
-// calls score one signature hit and one requirement hit each.
+// Single-requirement batch accounting: the first batch builds, later
+// batches score one signature hit and one requirement hit each.
 TEST(AnalysisServiceTest, SingleCheckAccounting) {
   text::Workspace workspace = LoadRoleWorkspace();
-  service::AnalysisService svc(*workspace.schema, *workspace.users);
+  core::AnalysisSession session(*workspace.schema, *workspace.users);
+  service::AnalysisService svc(session);
   core::Requirement requirement = Req("(clerk1, r_salary(x) : ti)");
 
-  ASSERT_TRUE(svc.Check(requirement).ok());
-  ASSERT_TRUE(svc.Check(requirement).ok());
+  ASSERT_TRUE(svc.CheckBatch({requirement}).ok());
+  ASSERT_TRUE(svc.CheckBatch({requirement}).ok());
   // clerk2 shares clerk1's signature, so it hits too.
-  ASSERT_TRUE(svc.Check(Req("(clerk2, r_salary(x) : ti)")).ok());
+  ASSERT_TRUE(svc.CheckBatch({Req("(clerk2, r_salary(x) : ti)")}).ok());
 
   service::ServiceStats stats = svc.Stats();
   EXPECT_EQ(stats.closures_built, 1u);
@@ -175,17 +178,17 @@ TEST(AnalysisServiceTest, SingleCheckAccounting) {
 TEST(AnalysisServiceTest, DifferentClosureOptionsDoNotShareClosures) {
   text::Workspace workspace = LoadRoleWorkspace();
 
-  service::ServiceOptions defaults;
-  service::AnalysisService svc_default(*workspace.schema, *workspace.users,
-                                       defaults);
-  service::ServiceOptions weakened;
+  core::AnalysisSession default_session(*workspace.schema, *workspace.users);
+  service::AnalysisService svc_default(default_session);
+  core::SessionOptions weakened;
   weakened.closure.same_type_argument_equality = false;
-  service::AnalysisService svc_weak(*workspace.schema, *workspace.users,
-                                    weakened);
+  core::AnalysisSession weak_session(*workspace.schema, *workspace.users,
+                                     weakened);
+  service::AnalysisService svc_weak(weak_session);
 
   core::Requirement requirement = Req("(clerk1, r_salary(x) : ti)");
-  auto strict = svc_default.Check(requirement);
-  auto weak = svc_weak.Check(requirement);
+  auto strict = svc_default.CheckBatch({requirement});
+  auto weak = svc_weak.CheckBatch({requirement});
   ASSERT_TRUE(strict.ok()) << strict.status();
   ASSERT_TRUE(weak.ok()) << weak.status();
   // Each service built its own closure — the signatures differ, so a
@@ -195,26 +198,52 @@ TEST(AnalysisServiceTest, DifferentClosureOptionsDoNotShareClosures) {
   // Without same-type argument equality the clerk cannot link the
   // budget write to checkBudget's argument, so the flaw disappears:
   // the options reach the fixpoint, not just the cache key.
-  EXPECT_FALSE(strict->satisfied);
-  EXPECT_TRUE(weak->satisfied);
+  EXPECT_FALSE((*strict)[0].satisfied);
+  EXPECT_TRUE((*weak)[0].satisfied);
+}
+
+// The service resolves users through the session, so grants and
+// revokes made there reach its batches: after a revoke on one user and
+// a grant on another, every batch report reads exactly like the
+// session's own sequential Check.
+TEST(AnalysisServiceTest, BatchSeesSessionGrantsAndRevokes) {
+  text::Workspace workspace = LoadRoleWorkspace();
+  core::AnalysisSession session(*workspace.schema, *workspace.users);
+  service::AnalysisService svc(session);
+  ASSERT_TRUE(session.RemoveCapability("clerk1", "w_budget").ok());
+  ASSERT_TRUE(session.AddCapability("updater", "checkBudget").ok());
+
+  for (const core::Requirement& requirement : workspace.requirements) {
+    auto expected = session.Check(requirement);
+    auto batch = svc.CheckBatch({requirement});
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ((*batch)[0].ToString(), expected->ToString());
+    EXPECT_EQ((*batch)[0].node_count, expected->node_count)
+        << requirement.ToString();
+  }
+  // The revoke closed clerk1's flaw; the registry still grants it.
+  auto clerk1 = svc.CheckBatch({workspace.requirements[0]});
+  ASSERT_TRUE(clerk1.ok());
+  EXPECT_TRUE((*clerk1)[0].satisfied);
 }
 
 // The determinism contract: a parallel batch over the stockbroker
 // workspace is byte-identical — verdicts, flaw sites, supporting facts,
-// derivation texts — to one-requirement-at-a-time CheckRequirement.
+// derivation texts — to one-requirement-at-a-time AnalysisSession::Check.
 TEST(AnalysisServiceTest, BatchMatchesSequentialByteForByte) {
   text::Workspace workspace = LoadRoleWorkspace();
-  service::ServiceOptions options;
+  core::SessionOptions options;
   options.threads = 4;
-  service::AnalysisService svc(*workspace.schema, *workspace.users, options);
+  core::AnalysisSession session(*workspace.schema, *workspace.users, options);
+  service::AnalysisService svc(session);
 
   auto batch = svc.CheckBatch(workspace.requirements);
   ASSERT_TRUE(batch.ok()) << batch.status();
   ASSERT_EQ(batch->size(), workspace.requirements.size());
 
   for (size_t i = 0; i < workspace.requirements.size(); ++i) {
-    auto sequential = core::CheckRequirement(
-        *workspace.schema, *workspace.users, workspace.requirements[i]);
+    auto sequential = session.Check(workspace.requirements[i]);
     ASSERT_TRUE(sequential.ok()) << sequential.status();
     const core::AnalysisReport& a = (*batch)[i];
     const core::AnalysisReport& b = *sequential;
@@ -234,9 +263,10 @@ TEST(AnalysisServiceTest, BatchMatchesSequentialByteForByte) {
 
 TEST(AnalysisServiceTest, BatchReportsEarliestFailureInInputOrder) {
   text::Workspace workspace = LoadRoleWorkspace();
-  service::ServiceOptions options;
+  core::SessionOptions options;
   options.threads = 2;
-  service::AnalysisService svc(*workspace.schema, *workspace.users, options);
+  core::AnalysisSession session(*workspace.schema, *workspace.users, options);
+  service::AnalysisService svc(session);
 
   // Failure after success: the batch fails with requirement 1's error.
   {
@@ -293,7 +323,7 @@ TEST(AnalysisServiceTest, MetricsIdenticalAcrossThreadCounts) {
     service::AnalysisService svc(session);
     EXPECT_TRUE(svc.CheckBatch(workspace.requirements).ok());
     EXPECT_TRUE(svc.CheckBatch(workspace.requirements).ok());
-    EXPECT_TRUE(svc.Check(Req("(updater, w_salary(a, v : ta))")).ok());
+    EXPECT_TRUE(svc.CheckBatch({Req("(updater, w_salary(a, v : ta))")}).ok());
     std::vector<obs::MetricSnapshot> metrics = session.metrics().Snapshot();
     std::erase_if(metrics, [](const obs::MetricSnapshot& m) {
       return m.name.starts_with("pool.");
@@ -315,19 +345,26 @@ TEST(AnalysisServiceTest, MetricsIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(saw_facts);
 }
 
-// The session façade drives the same sequential A(R) as the free
-// function, and its counters see every layer of the pipeline.
-TEST(AnalysisSessionTest, CheckMatchesFreeFunctionAndCounts) {
+// Check() is BuildUser plus CheckAgainstClosure, and the session's
+// counters see every layer of the pipeline.
+TEST(AnalysisSessionTest, CheckMatchesBuildUserAndCounts) {
   text::Workspace workspace = LoadRoleWorkspace();
   core::AnalysisSession session(*workspace.schema, *workspace.users);
+  // A second session for the reference builds, so the counters below
+  // see only the Check() calls.
+  core::AnalysisSession reference(*workspace.schema, *workspace.users);
 
   for (const core::Requirement& requirement : workspace.requirements) {
-    auto via_session = session.Check(requirement);
-    auto via_free = core::CheckRequirement(*workspace.schema,
-                                           *workspace.users, requirement);
-    ASSERT_TRUE(via_session.ok()) << via_session.status();
-    ASSERT_TRUE(via_free.ok()) << via_free.status();
-    EXPECT_EQ(via_session->ToString(), via_free->ToString());
+    auto via_check = session.Check(requirement);
+    auto analysis =
+        reference.BuildUser(*reference.FindUser(requirement.user));
+    ASSERT_TRUE(analysis.ok()) << analysis.status();
+    auto via_build = core::CheckAgainstClosure(
+        analysis.value()->set(), analysis.value()->closure(), requirement);
+    ASSERT_TRUE(via_check.ok()) << via_check.status();
+    ASSERT_TRUE(via_build.ok()) << via_build.status();
+    EXPECT_EQ(via_check->ToString(), via_build->ToString());
+    EXPECT_EQ(via_check->fact_count, via_build->fact_count);
   }
 
   EXPECT_EQ(session.metrics().counter("session.checks")->value(), 3u);

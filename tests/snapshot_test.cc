@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "core/closure_cache.h"
@@ -142,9 +143,9 @@ Fleet MakeFleet(int accounts_per_role = 3) {
   return fleet;
 }
 
-service::ServiceOptions MakeServiceOptions(
+core::SessionOptions MakeSessionOptions(
     int threads, std::shared_ptr<snapshot::SnapshotStore> store = nullptr) {
-  service::ServiceOptions options;
+  core::SessionOptions options;
   options.threads = threads;
   options.snapshot_store = std::move(store);
   return options;
@@ -352,8 +353,9 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
   // render the expected report text.
   std::string expected;
   {
-    service::AnalysisService svc(*fleet.schema, *fleet.users,
-                                 MakeServiceOptions(2, OpenPack(pack)));
+    core::AnalysisSession session(*fleet.schema, *fleet.users,
+                                  MakeSessionOptions(2, OpenPack(pack)));
+    service::AnalysisService svc(session);
     auto reports = svc.CheckBatch(fleet.sheet);
     ASSERT_TRUE(reports.ok()) << reports.status();
     ASSERT_TRUE(svc.SaveCacheSnapshot().ok());
@@ -789,8 +791,9 @@ TEST(ShardTest, ShardedBatchMatchesSingleProcessByteForByte) {
                                           fleet.sheet, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-  service::AnalysisService svc(*fleet.schema, *fleet.users,
-                               MakeServiceOptions(2));
+  core::AnalysisSession session(*fleet.schema, *fleet.users,
+                                MakeSessionOptions(2));
+  service::AnalysisService svc(session);
   auto batch = svc.CheckBatch(fleet.sheet);
   ASSERT_TRUE(batch.ok()) << batch.status();
 
@@ -849,8 +852,9 @@ TEST(ShardTest, UnknownUserErrorMatchesCheckBatch) {
                                           fleet.sheet, options);
   ASSERT_FALSE(sharded.ok());
 
-  service::AnalysisService svc(*fleet.schema, *fleet.users,
-                               MakeServiceOptions(2));
+  core::AnalysisSession session(*fleet.schema, *fleet.users,
+                                MakeSessionOptions(2));
+  service::AnalysisService svc(session);
   auto batch = svc.CheckBatch(fleet.sheet);
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(sharded.status().code(), batch.status().code());
@@ -889,8 +893,9 @@ TEST(ShardTest, ShardedWorkersShareTheSnapshotTier) {
 // packed store and print reports + a stats marker.
 int RunSnapshotWorker(const std::string& pack) {
   Fleet fleet = MakeFleet();
-  service::AnalysisService svc(*fleet.schema, *fleet.users,
-                               MakeServiceOptions(2, OpenPack(pack)));
+  core::AnalysisSession session(*fleet.schema, *fleet.users,
+                                MakeSessionOptions(2, OpenPack(pack)));
+  service::AnalysisService svc(session);
   auto reports = svc.CheckBatch(fleet.sheet);
   if (!reports.ok()) {
     std::fprintf(stderr, "%s\n", reports.status().ToString().c_str());

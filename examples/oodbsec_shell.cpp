@@ -15,7 +15,9 @@
 //   revoke <user> <function>   revoke one; DRed-shrinks the cached closure
 //   recheck                    re-audit every requirement incrementally
 //   batch [threads]            same, through the caching batch service
+//                              (1..64 threads, default 4)
 //   shard [shards]             same, forked across worker processes
+//                              (1..64 shards, default 4)
 //   shard tcp <host:port>...   same, streamed to TCP workers (started
 //                              with `serve`), pipelined by signature;
 //                              both shard forms audit the loaded
@@ -41,13 +43,15 @@
 //   quit
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/strings.h"
@@ -68,6 +72,21 @@
 namespace {
 
 using namespace oodbsec;
+
+// The optional worker count of `batch` and `shard`: 4 when `token` is
+// empty, nullopt unless it is a whole number in 1..kMaxClosureThreads
+// (each unit is a pool thread or a forked process).
+std::optional<int> ParseCount(const std::string& token) {
+  if (token.empty()) return 4;
+  int count = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, count);
+  if (ec != std::errc() || ptr != end || count < 1 ||
+      count > core::kMaxClosureThreads) {
+    return std::nullopt;
+  }
+  return count;
+}
 
 class Shell {
  public:
@@ -105,9 +124,13 @@ class Shell {
     } else if (command == "recheck") {
       Recheck();
     } else if (command == "batch") {
-      int threads = 0;
-      in >> threads;
-      Batch(threads > 0 ? threads : 4);
+      std::string count;
+      in >> count;
+      if (std::optional<int> threads = ParseCount(count)) {
+        Batch(*threads);
+      } else {
+        std::printf("usage: batch [1..%d]\n", core::kMaxClosureThreads);
+      }
     } else if (command == "shard") {
       std::string first;
       in >> first;
@@ -116,9 +139,11 @@ class Shell {
         std::string address;
         while (in >> address) addresses.push_back(address);
         ShardTcp(addresses);
+      } else if (std::optional<int> shards = ParseCount(first)) {
+        Shard(*shards);
       } else {
-        int shards = std::atoi(first.c_str());
-        Shard(shards > 0 ? shards : 4);
+        std::printf("usage: shard [1..%d] | shard tcp <host:port> ...\n",
+                    core::kMaxClosureThreads);
       }
     } else if (command == "fixpoint") {
       int threads = -1;
@@ -174,10 +199,11 @@ class Shell {
         "  recheck                         re-audit every requirement\n"
         "                                  (incremental, cached)\n"
         "  batch [threads]                 same, through the batch service\n"
-        "                                  (shared-closure cache, default 4"
-        " threads)\n"
+        "                                  (shared-closure cache, 1..64"
+        " threads,\n"
+        "                                  default 4)\n"
         "  shard [shards]                  same, forked across worker\n"
-        "                                  processes (default 4 shards)\n"
+        "                                  processes (1..64, default 4)\n"
         "  shard tcp <host:port> ...       same, streamed to TCP workers\n"
         "                                  (started with 'serve')\n"
         "                                  shard audits the loaded grants,\n"
@@ -307,11 +333,13 @@ class Shell {
     const core::ClosureCache::Stats& stats =
         session_->recheck_cache().stats();
     std::printf(
-        "(%llu exact hit(s), %llu warm, %llu retracted, %llu cold)\n",
+        "(%llu exact hit(s), %llu warm, %llu retracted, %llu cold, "
+        "%llu check hit(s))\n",
         static_cast<unsigned long long>(stats.exact_hits),
         static_cast<unsigned long long>(stats.warm_builds),
         static_cast<unsigned long long>(stats.retract_builds),
-        static_cast<unsigned long long>(stats.cold_builds));
+        static_cast<unsigned long long>(stats.cold_builds),
+        static_cast<unsigned long long>(CheckHits()));
   }
 
   // Like Analyze(), but through AnalysisService: users sharing a
@@ -337,9 +365,16 @@ class Shell {
     std::printf(
         "(%d thread(s): %zu check(s), %zu closure(s) built, "
         "%zu signature hit(s), %zu requirement hit(s), "
-        "%zu snapshot hit(s))\n",
+        "%zu snapshot hit(s), %llu check hit(s))\n",
         service_->thread_count(), stats.checks, stats.closures_built,
-        stats.signature_hits, stats.requirement_hits, stats.snapshot_hits);
+        stats.signature_hits, stats.requirement_hits, stats.snapshot_hits,
+        static_cast<unsigned long long>(CheckHits()));
+  }
+
+  // Reports served from cache entries' memos (CachedAnalysis::Check)
+  // over the session's lifetime, `recheck` and `batch` alike.
+  uint64_t CheckHits() {
+    return session_->metrics().counter("analyzer.check_hits")->value();
   }
 
   // Like Batch(), but forked across worker processes (service/shard.h):

@@ -115,10 +115,8 @@ AnalysisSession::RecheckRequirements(
     std::vector<std::string> roots = AnalysisRoots(schema_, *user);
     OODBSEC_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAnalysis> entry,
                              recheck_cache_->GetOrBuild(roots));
-    OODBSEC_ASSIGN_OR_RETURN(
-        AnalysisReport report,
-        CheckAgainstClosure(*entry->set, *entry->closure, requirement,
-                            obs_.get(), span.id()));
+    OODBSEC_ASSIGN_OR_RETURN(AnalysisReport report,
+                             entry->Check(requirement, obs_.get(), span.id()));
     reports.push_back(std::move(report));
   }
   return reports;

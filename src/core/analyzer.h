@@ -33,7 +33,9 @@ namespace oodbsec::core {
 
 // One invocation site at which every required capability is derivable.
 struct FlawSite {
-  int site_id = 0;          // occurrence id of the site (0 for pure roots)
+  // Occurrence id of the site; a root site carries its unfolded body's
+  // id, so no site id is 0.
+  int site_id = 0;
   bool is_root_site = false;
   std::string description;  // human-readable site label
   std::vector<FactId> supporting_facts;
@@ -72,9 +74,11 @@ std::vector<std::string> AnalysisRoots(const schema::Schema& schema,
 
 // Checks `requirement` against an already-computed closure, without
 // validating the requirement's user name: the site enumeration and
-// capability tests of A(R), shared by AnalysisSession::Check and the
-// service layer (which serves many same-signature users from one
-// closure). The requirement's function need not be on the capability
+// capability tests of A(R). This is the uncached primitive and the
+// reference: AnalysisSession::Check calls it directly, while callers
+// holding a cache entry go through CachedAnalysis::Check
+// (core/closure_cache.h), which memoizes its reports per requirement
+// shape. The requirement's function need not be on the capability
 // list — indirect invocation sites still count. Read-only on
 // `set`/`closure`; safe to call concurrently. With `obs`, the check
 // runs under a "check" span (parented under `parent` when given — pass

@@ -28,7 +28,6 @@ namespace {
 constexpr size_t kParallelFrontierThreshold = 256;
 constexpr size_t kMinChunkFacts = 64;
 constexpr size_t kChunksPerThread = 4;
-constexpr int kMaxClosureThreads = 64;
 
 int ResolveClosureThreads(int requested) {
   if (requested == 0) {

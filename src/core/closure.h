@@ -196,6 +196,9 @@ struct ReplayView {
   std::span<const std::string_view> rules;
 };
 
+// The largest round crew a closure runs (ClosureOptions::closure_threads).
+inline constexpr int kMaxClosureThreads = 64;
+
 // Ablation switches for experiment A1 (see DESIGN.md §7). All on by
 // default; each "off" weakens the analyzer and must lose a documented
 // detection.
@@ -222,12 +225,13 @@ struct ClosureOptions {
 
   // Worker threads for the fixpoint rounds inside Run(): 1 (default)
   // evaluates every round on the calling thread, 0 resolves to the
-  // hardware concurrency, N > 1 caps the round crew at N. This is
-  // purely an execution knob — the derivation log and every published
-  // closure.* metric are byte-identical for all values (see Run()) —
-  // which is why operator== below ignores it: closures built at
-  // different thread counts warm-start from each other, share cache
-  // entries, and replay each other's snapshots.
+  // hardware concurrency, N > 1 caps the round crew at N (at most
+  // kMaxClosureThreads). This is purely an execution knob — the
+  // derivation log and every published closure.* metric are
+  // byte-identical for all values (see Run()) — which is why
+  // operator== below ignores it: closures built at different thread
+  // counts warm-start from each other, share cache entries, and replay
+  // each other's snapshots.
   int closure_threads = 1;
 
   // Warm-start seeding requires identical *semantics* on both sides;

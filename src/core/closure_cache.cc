@@ -26,6 +26,37 @@ std::shared_ptr<const CachedAnalysis> MakeCachedAnalysis(
   return entry;
 }
 
+common::Result<AnalysisReport> CachedAnalysis::Check(
+    const Requirement& requirement, obs::Observability* obs,
+    obs::SpanId parent) const {
+  const AnalysisReport* memo = nullptr;
+  bool hit = false;
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    auto it = memo_.find(std::tie(requirement.function, requirement.arg_caps,
+                                  requirement.return_caps));
+    hit = it != memo_.end();
+    if (!hit) {
+      // The registry and tracer locks the check takes are leaves.
+      OODBSEC_ASSIGN_OR_RETURN(
+          AnalysisReport report,
+          CheckAgainstClosure(*set, *closure, requirement, obs, parent));
+      it = memo_.emplace(Shape(requirement.function, requirement.arg_caps,
+                               requirement.return_caps),
+                         std::move(report))
+               .first;
+    }
+    memo = &it->second;
+  }
+  if (hit && obs != nullptr) {
+    obs->metrics.counter("analyzer.check_hits")->Increment();
+  }
+  // Stored reports never change, so the copy needs no lock.
+  AnalysisReport report = *memo;
+  report.requirement = requirement;
+  return report;
+}
+
 ClosureCache::ClosureCache(const schema::Schema& schema,
                            ClosureOptions options, size_t capacity,
                            obs::Observability* obs,

@@ -53,21 +53,30 @@
 // object — Find*/GetOrBuild/Insert must not race. BuildDetached is the
 // exception: it is const, touches no cache state, and may run on many
 // worker threads at once (the service's parallel build phase), each
-// sharing cached entries as warm bases.
+// sharing cached entries as warm bases. Entries themselves may be
+// shared across threads; see CachedAnalysis.
 #ifndef OODBSEC_CORE_CLOSURE_CACHE_H_
 #define OODBSEC_CORE_CLOSURE_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "core/analyzer.h"
+#include "core/capability.h"
 #include "core/closure.h"
+#include "core/requirement.h"
 #include "obs/obs.h"
 #include "schema/schema.h"
 #include "unfold/unfolded.h"
@@ -79,13 +88,39 @@ class SnapshotStore;  // snapshot/snapshot_store.h
 namespace oodbsec::core {
 
 // One cached analysis unit: the root list that was unfolded, its
-// program, and the closed fixpoint. Immutable after construction and
-// shared read-only.
+// program, the closed fixpoint, and the A(R) reports checked against
+// it. The first four are immutable after construction and shared
+// read-only; the report memo is the entry's one mutable part and is
+// synchronized, so an entry may be shared across threads.
 struct CachedAnalysis {
   std::vector<std::string> roots;         // unfold order
   std::vector<std::string> sorted_roots;  // subset-lattice key (unique'd)
   std::unique_ptr<unfold::UnfoldedSet> set;
   std::unique_ptr<Closure> closure;
+
+  // CheckAgainstClosure(*set, *closure, requirement, obs, parent),
+  // memoized per requirement shape: the function, each argument's
+  // capability set by position, and the return capabilities. A(R)
+  // reads nothing else of a requirement (not the user, not the
+  // print-only arg_names), so every user of a role is served by one
+  // check. The report equals a fresh check's in every field, with
+  // `requirement` set to the caller's. A miss computes while holding
+  // the entry's mutex, so exactly one check runs per (entry, shape)
+  // whatever the scheduling ("analyzer.checks"); a hit records no
+  // "check" span and counts "analyzer.check_hits". Errors are returned,
+  // not stored. The memo lives as long as the entry and is not part of
+  // its snapshot.
+  common::Result<AnalysisReport> Check(const Requirement& requirement,
+                                       obs::Observability* obs = nullptr,
+                                       obs::SpanId parent = obs::kNoSpan) const;
+
+ private:
+  using Shape = std::tuple<std::string, std::vector<std::set<Capability>>,
+                           std::set<Capability>>;
+  mutable std::mutex memo_mutex_;
+  // Guarded by memo_mutex_. Only ever inserted into, so a report's
+  // address is stable for the entry's lifetime.
+  mutable std::map<Shape, AnalysisReport, std::less<>> memo_;
 };
 
 // The subset-lattice key of a root list: sorted, duplicates dropped.

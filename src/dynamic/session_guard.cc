@@ -283,10 +283,8 @@ Result<GuardDecision> SessionGuard::CheckEntry(const std::string& user,
   GuardDecision decision;
   for (const core::Requirement& requirement : requirements_) {
     if (requirement.user != user) continue;
-    OODBSEC_ASSIGN_OR_RETURN(
-        core::AnalysisReport report,
-        core::CheckAgainstClosure(*entry.set, *entry.closure, requirement,
-                                  options_.obs));
+    OODBSEC_ASSIGN_OR_RETURN(core::AnalysisReport report,
+                             entry.Check(requirement, options_.obs));
     if (!report.satisfied) {
       decision.allowed = false;
       decision.violated_requirement = requirement.ToString();

@@ -290,8 +290,9 @@ class SessionGuard {
       const std::vector<std::string>& roots,
       const std::shared_ptr<const core::CachedAnalysis>& session_base);
 
-  // Runs every requirement of `user` against one closure entry; first
-  // violation wins (requirement declaration order).
+  // Runs every requirement of `user` against one closure entry through
+  // its report memo (CachedAnalysis::Check); first violation wins
+  // (requirement declaration order).
   common::Result<GuardDecision> CheckEntry(
       const std::string& user, const core::CachedAnalysis& entry);
 

@@ -166,8 +166,10 @@ common::Result<std::vector<core::AnalysisReport>> AnalysisService::CheckBatch(
   }
 
   // Phase 4 (parallel): every requirement with a closure is checked
-  // concurrently. Entries are immutable and Closure's const queries are
-  // pure reads, so many checks may share one closure.
+  // concurrently through its entry's report memo (CachedAnalysis::Check),
+  // which computes each (entry, requirement shape) pair once under the
+  // entry's lock, whatever the scheduling; the other requirements of
+  // the pair are served the stored report.
   std::vector<std::optional<common::Result<core::AnalysisReport>>> outcomes(n);
   {
     obs::ScopedSpan check_span(tracer, "batch.check");
@@ -182,8 +184,7 @@ common::Result<std::vector<core::AnalysisReport>> AnalysisService::CheckBatch(
         entry = build.result.value().get();
       }
       pool_.Submit([&outcomes, &requirements, entry, obs, check_parent, i] {
-        outcomes[i].emplace(core::CheckAgainstClosure(
-            *entry->set, *entry->closure, requirements[i], obs, check_parent));
+        outcomes[i].emplace(entry->Check(requirements[i], obs, check_parent));
       });
     }
     pool_.Wait();

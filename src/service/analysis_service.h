@@ -20,8 +20,10 @@
 //     and persists across batches; entries are shared_ptr, so eviction
 //     never invalidates in-flight work.
 //   * Work-stealing parallelism. Distinct signatures' closures build
-//     concurrently; then every requirement check runs concurrently
-//     against the (immutable, read-safe) shared closures.
+//     concurrently; then the requirements are checked concurrently
+//     against the shared entries, whose report memo
+//     (core::CachedAnalysis::Check) runs A(R) once per (closure,
+//     requirement shape) and serves the role's other users from it.
 //
 // The service is a consumer of core::AnalysisSession: the session owns
 // the semantic options, the users (its grant/revoke overlay included)
@@ -141,8 +143,9 @@ class AnalysisService {
                            int threads_override = 0);
 
   // Checks every requirement. Closure builds for distinct uncached
-  // signatures run in parallel, then all per-requirement checks run in
-  // parallel. See the determinism contract above.
+  // signatures run in parallel, then the per-requirement checks run in
+  // parallel, one A(R) per (closure, requirement shape). See the
+  // determinism contract above.
   common::Result<std::vector<core::AnalysisReport>> CheckBatch(
       const std::vector<core::Requirement>& requirements);
 

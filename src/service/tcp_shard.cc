@@ -872,8 +872,7 @@ common::Status ProcessBatch(std::string_view payload, WorkerAudit& audit,
   for (const auto& [gi, text] : requirements) {
     auto parsed = core::ParseRequirementString(text);
     if (!parsed.ok()) return fail(gi, parsed.status());
-    auto checked = core::CheckAgainstClosure(*entry->set, *entry->closure,
-                                             parsed.value());
+    auto checked = entry->Check(parsed.value());
     ++audit.stats.checks;
     if (!checked.ok()) return fail(gi, checked.status());
     wire::PutReport(w, gi, checked.value());

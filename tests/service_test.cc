@@ -2,13 +2,17 @@
 // closure cache hit/miss accounting, batch-vs-sequential determinism,
 // error ordering, and the work-stealing pool itself.
 #include <atomic>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/analysis_session.h"
 #include "core/analyzer.h"
+#include "core/closure_cache.h"
 #include "core/requirement.h"
 #include "obs/metrics.h"
 #include "service/analysis_service.h"
@@ -53,6 +57,25 @@ core::Requirement Req(const std::string& source) {
   auto requirement = core::ParseRequirementString(source);
   EXPECT_TRUE(requirement.ok()) << requirement.status();
   return std::move(requirement).value();
+}
+
+// A batch over the role workspace with many requirements per
+// (signature, requirement shape) pair — clerk1 and clerk2 share a
+// signature — so pool threads meet on one entry's report memo. The 32
+// copies keep enough tasks queued that threads miss on one pair
+// together: on a 4-core host, a memo that checked outside its lock
+// failed ColdBatchChecksEachPairOnce in nearly all of its 50 runs (at 8
+// copies, the whole test still passed about one time in eight).
+constexpr uint64_t kRepeatedShapePairs = 3;
+std::vector<core::Requirement> RepeatedShapes() {
+  std::vector<core::Requirement> batch;
+  for (int copy = 0; copy < 32; ++copy) {
+    batch.push_back(Req("(clerk1, r_salary(x) : ti)"));
+    batch.push_back(Req("(clerk2, r_salary(y) : ti)"));
+    batch.push_back(Req("(updater, w_salary(a, v : ta))"));
+    batch.push_back(Req("(updater, r_salary(x) : pi)"));
+  }
+  return batch;
 }
 
 TEST(CapabilitySignatureTest, PermutedGrantOrderSharesSignature) {
@@ -321,6 +344,7 @@ TEST(AnalysisServiceTest, MetricsIdenticalAcrossThreadCounts) {
     core::AnalysisSession session(*workspace.schema, *workspace.users,
                                   options);
     service::AnalysisService svc(session);
+    EXPECT_TRUE(svc.CheckBatch(RepeatedShapes()).ok());
     EXPECT_TRUE(svc.CheckBatch(workspace.requirements).ok());
     EXPECT_TRUE(svc.CheckBatch(workspace.requirements).ok());
     EXPECT_TRUE(svc.CheckBatch({Req("(updater, w_salary(a, v : ta))")}).ok());
@@ -337,12 +361,158 @@ TEST(AnalysisServiceTest, MetricsIdenticalAcrossThreadCounts) {
   for (size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i], eight[i]) << one[i].name << " vs " << eight[i].name;
   }
-  // And the run counted real work: closure facts were derived.
+  // And the run counted real work: closure facts were derived, and
+  // requirements were served from report memos.
   bool saw_facts = false;
+  bool saw_check_hits = false;
   for (const obs::MetricSnapshot& m : one) {
     if (m.name == "closure.facts.total") saw_facts = m.value > 0;
+    if (m.name == "analyzer.check_hits") saw_check_hits = m.value > 0;
   }
   EXPECT_TRUE(saw_facts);
+  EXPECT_TRUE(saw_check_hits);
+}
+
+// A report memo computes a missing report while holding its entry's
+// lock, so a cold batch makes exactly one check per (signature, shape)
+// pair however the pool interleaves. A memo that checked outside the
+// lock would count a pair twice whenever two threads missed together.
+TEST(CheckMemoTest, ColdBatchChecksEachPairOnce) {
+  text::Workspace workspace = LoadRoleWorkspace();
+  const std::vector<core::Requirement> batch = RepeatedShapes();
+  for (int run = 0; run < 50; ++run) {
+    core::SessionOptions options;
+    options.threads = 8;
+    core::AnalysisSession session(*workspace.schema, *workspace.users,
+                                  options);
+    service::AnalysisService svc(session);
+    ASSERT_TRUE(svc.CheckBatch(batch).ok());
+    EXPECT_EQ(session.metrics().counter("analyzer.checks")->value(),
+              kRepeatedShapePairs)
+        << "run " << run;
+    EXPECT_EQ(session.metrics().counter("analyzer.check_hits")->value(),
+              batch.size() - kRepeatedShapePairs)
+        << "run " << run;
+  }
+}
+
+// Every field of a report except its requirement: what the memo stores.
+std::string ReportBody(const core::AnalysisReport& report) {
+  std::string body = common::StrCat(report.satisfied, " ", report.node_count,
+                                    " ", report.fact_count, "\n");
+  for (const core::FlawSite& flaw : report.flaws) {
+    body += common::StrCat(flaw.site_id, " ", flaw.is_root_site, " ",
+                           flaw.description, " [");
+    for (core::FactId fact : flaw.supporting_facts) {
+      body += common::StrCat(fact, " ");
+    }
+    body += common::StrCat("]\n", flaw.derivation, "\n");
+  }
+  return body;
+}
+
+// `got` equals `want` in every field: the requirement (user and
+// arg_names included) and the report body.
+void ExpectSameReport(const common::Result<core::AnalysisReport>& got,
+                      const common::Result<core::AnalysisReport>& want) {
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_EQ(got->requirement.user, want->requirement.user);
+  EXPECT_EQ(got->requirement.arg_names, want->requirement.arg_names);
+  EXPECT_EQ(got->requirement.ToString(), want->requirement.ToString());
+  EXPECT_EQ(ReportBody(*got), ReportBody(*want));
+}
+
+// CachedAnalysis::Check returns, first time and from the memo, what
+// CheckAgainstClosure returns on the same entry, with the caller's
+// requirement: clerk2 is served the report clerk1's requirement
+// stored, and a renamed argument list is served the same report.
+TEST(CheckMemoTest, ReportsEqualTheUncachedCheck) {
+  text::Workspace role = LoadRoleWorkspace();
+  auto stockbroker = text::LoadWorkspaceFile(OODBSEC_STOCKBROKER_ODB);
+  ASSERT_TRUE(stockbroker.ok()) << stockbroker.status();
+  // Each workspace has two distinct (closure, shape) pairs; in the role
+  // workspace, clerk1's and clerk2's requirements share one.
+  constexpr uint64_t kPairs = 2;
+  for (const text::Workspace* workspace : {&role, &stockbroker.value()}) {
+    obs::Observability obs;
+    core::ClosureCache cache(*workspace->schema, core::ClosureOptions{},
+                             core::ClosureCache::kDefaultCapacity, &obs);
+    for (const core::Requirement& requirement : workspace->requirements) {
+      core::Requirement renamed = requirement;
+      for (std::string& name : renamed.arg_names) name += "_renamed";
+      auto entry = cache.GetOrBuild(core::AnalysisRoots(
+          *workspace->schema, *workspace->users->Find(requirement.user)));
+      ASSERT_TRUE(entry.ok()) << entry.status();
+      const core::CachedAnalysis& analysis = *entry.value();
+      for (const core::Requirement& caller :
+           {requirement, requirement, renamed}) {
+        SCOPED_TRACE(caller.ToString());
+        ExpectSameReport(
+            analysis.Check(caller, &obs),
+            core::CheckAgainstClosure(*analysis.set, *analysis.closure,
+                                      caller));
+      }
+    }
+    const uint64_t calls = 3 * workspace->requirements.size();
+    EXPECT_EQ(obs.metrics.counter("analyzer.checks")->value(), kPairs);
+    EXPECT_EQ(obs.metrics.counter("analyzer.check_hits")->value(),
+              calls - kPairs);
+  }
+}
+
+// The memo key holds the function, each argument's capability set by
+// position, and the return capabilities: on one entry, requirements
+// differing in any of them get reports of their own. The six uncached
+// reports differ pairwise, so a key that dropped a part would serve one
+// of them another's report. Hits record no "check" span.
+TEST(CheckMemoTest, KeyHoldsFunctionPositionsAndCapabilities) {
+  text::Workspace workspace = LoadRoleWorkspace();
+  obs::Observability obs;
+  obs.tracer.set_enabled(true);
+  core::ClosureCache cache(*workspace.schema, core::ClosureOptions{},
+                           core::ClosureCache::kDefaultCapacity, &obs);
+  // clerk1's and updater's grants together: both functions have sites.
+  auto entry = cache.GetOrBuild(core::AnalysisRoots(
+      *workspace.schema,
+      std::set<std::string>{"checkBudget", "updateSalary", "w_budget",
+                            "w_profit", "r_name"}));
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  const core::CachedAnalysis& analysis = *entry.value();
+  const std::vector<core::Requirement> shapes = {
+      Req("(updater, w_salary(a, v : ta))"),
+      Req("(updater, w_salary(a : ta, v))"),
+      Req("(updater, w_salary(a, v : pa))"),
+      Req("(updater, r_salary(x) : ti)"),
+      Req("(updater, r_salary(x) : pi)"),
+      Req("(updater, r_budget(x) : ti)"),
+  };
+  std::vector<std::string> bodies;
+  for (const core::Requirement& requirement : shapes) {
+    auto uncached = core::CheckAgainstClosure(*analysis.set,
+                                              *analysis.closure, requirement);
+    ASSERT_TRUE(uncached.ok()) << uncached.status();
+    for (const std::string& other : bodies) {
+      EXPECT_NE(ReportBody(*uncached), other) << requirement.ToString();
+    }
+    bodies.push_back(ReportBody(*uncached));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const core::Requirement& requirement : shapes) {
+      SCOPED_TRACE(requirement.ToString());
+      ExpectSameReport(analysis.Check(requirement, &obs),
+                       core::CheckAgainstClosure(
+                           *analysis.set, *analysis.closure, requirement));
+    }
+  }
+  EXPECT_EQ(obs.metrics.counter("analyzer.checks")->value(), shapes.size());
+  EXPECT_EQ(obs.metrics.counter("analyzer.check_hits")->value(),
+            shapes.size());
+  size_t check_spans = 0;
+  for (const obs::SpanRecord& span : obs.tracer.Snapshot()) {
+    check_spans += span.name == "check";
+  }
+  EXPECT_EQ(check_spans, shapes.size());
 }
 
 // Check() is BuildUser plus CheckAgainstClosure, and the session's

@@ -217,6 +217,8 @@ void ClosureCache::CountBuild(const Closure& closure) {
 std::shared_ptr<const CachedAnalysis> ClosureCache::FindSnapshot(
     const std::vector<std::string>& roots) {
   if (store_ == nullptr) return nullptr;
+  obs::ScopedSpan span(obs_ != nullptr ? &obs_->tracer : nullptr,
+                       "store.find");
   auto loaded = store_->Find(schema_, options_, roots, obs_);
   const char* counter = nullptr;
   std::shared_ptr<const CachedAnalysis> entry;
@@ -245,6 +247,8 @@ common::Status ClosureCache::SaveCacheSnapshot(
     return common::FailedPreconditionError(
         "closure cache has no snapshot store");
   }
+  obs::ScopedSpan span(obs_ != nullptr ? &obs_->tracer : nullptr,
+                       "store.save");
   return store_->Save(schema_, options_, entry);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "net/socket.h"
 #include "snapshot/binio.h"
@@ -18,7 +19,7 @@ std::string EncodeFrameHeader(FrameType type, std::string_view payload) {
   header.PutU8(0);
   header.PutU8(0);
   header.PutU32(static_cast<uint32_t>(payload.size()));
-  header.PutU64(snapshot::Fnv1a64(payload));
+  header.PutU64(common::Fnv1a64(payload));
   return header.Release();
 }
 
@@ -95,7 +96,7 @@ common::Status ReadFrame(int fd, Frame* frame, int timeout_ms) {
     return common::FailedPreconditionError(
         "frame: torn payload (peer died mid-frame or stalled)");
   }
-  if (snapshot::Fnv1a64(payload) != checksum) {
+  if (common::Fnv1a64(payload) != checksum) {
     return common::FailedPreconditionError(
         "frame: payload checksum mismatch (corrupt stream)");
   }

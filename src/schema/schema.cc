@@ -3,8 +3,10 @@
 #include <functional>
 #include <set>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "lang/parser.h"
+#include "lang/printer.h"
 #include "lang/type_checker.h"
 
 namespace oodbsec::schema {
@@ -202,6 +204,31 @@ Status CheckAcyclic(const Schema& schema) {
   return Status::Ok();
 }
 
+// Schema::fingerprint() of a finished schema. The seed names the
+// snapshot tier, whose records carry this hash in their stamp: changing
+// the seed, the pieces or their order orphans every pack on disk.
+uint64_t ContentHash(const Schema& schema) {
+  uint64_t hash = common::Fnv1a64("oodbsec-snapshot-schema");
+  for (const auto& cls : schema.classes()) {
+    hash = common::Fnv1a64Field("class", hash);
+    hash = common::Fnv1a64Field(cls->name(), hash);
+    for (const AttributeDef& attr : cls->attributes()) {
+      hash = common::Fnv1a64Field(attr.name, hash);
+      hash = common::Fnv1a64Field(attr.type->ToString(), hash);
+    }
+  }
+  for (const auto& fn : schema.functions()) {
+    hash = common::Fnv1a64Field("function", hash);
+    hash = common::Fnv1a64Field(fn->SignatureToString(), hash);
+    hash = common::Fnv1a64Field(lang::PrintExpr(fn->body()), hash);
+  }
+  for (const FunctionDecl* constraint : schema.constraints()) {
+    hash = common::Fnv1a64Field("constraint", hash);
+    hash = common::Fnv1a64Field(constraint->name(), hash);
+  }
+  return hash;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Schema>> SchemaBuilder::Build() && {
@@ -373,6 +400,7 @@ Result<std::unique_ptr<Schema>> SchemaBuilder::Build() && {
     schema->constraints_.push_back(fn);
   }
 
+  schema->fingerprint_ = ContentHash(*schema);
   return schema;
 }
 

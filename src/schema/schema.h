@@ -16,6 +16,7 @@
 #ifndef OODBSEC_SCHEMA_SCHEMA_H_
 #define OODBSEC_SCHEMA_SCHEMA_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -142,6 +143,17 @@ class Schema {
   // Resolves `name` as an access function, "r_<att>", or "w_<att>".
   Callable ResolveCallable(std::string_view name) const;
 
+  // Order-sensitive FNV-1a content hash of everything in the schema
+  // that determines a closure: every class (name, then each attribute's
+  // name and type), every function (signature, then printed body), and
+  // the constraint list. Computed once, at the end of
+  // SchemaBuilder::Build(), so reading it is O(1). Two schemas built
+  // from the same text hash equal; any semantic edit changes the value.
+  // snapshot::SchemaFingerprint extends it with the closure options
+  // into the generation stamp of every persisted closure, so a change
+  // to what is hashed, or in what order, orphans every pack on disk.
+  uint64_t fingerprint() const { return fingerprint_; }
+
  private:
   friend class SchemaBuilder;
   Schema();
@@ -154,6 +166,7 @@ class Schema {
   std::map<std::string, const ClassDef*, std::less<>> class_index_;
   std::map<std::string, const FunctionDecl*, std::less<>> function_index_;
   std::map<std::string, const ClassDef*, std::less<>> attribute_index_;
+  uint64_t fingerprint_ = 0;
 };
 
 // Incrementally declares classes and functions, then validates and type

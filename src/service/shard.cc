@@ -10,10 +10,10 @@
 #include <string>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "net/socket.h"
 #include "service/tcp_shard.h"
-#include "snapshot/binio.h"
 
 namespace oodbsec::service {
 
@@ -26,7 +26,7 @@ int ShardOf(std::string_view signature, int shard_count) {
   // piles signatures that differ in a trailing digit). The murmur3
   // finalizer spreads every bit over the word; multiply-high then maps
   // it onto [0, shard_count).
-  uint64_t h = snapshot::Fnv1a64(signature);
+  uint64_t h = common::Fnv1a64(signature);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;

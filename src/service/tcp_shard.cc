@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "core/analyzer.h"
 #include "core/requirement.h"
@@ -318,7 +319,7 @@ bool DrainInbox(WorkerConn& w, CoordinatorState& state, uint64_t* bytes_in,
     if (w.inbox.size() - pos < net::kFrameHeaderSize + length) break;
     std::string_view payload(w.inbox.data() + pos + net::kFrameHeaderSize,
                              length);
-    if (snapshot::Fnv1a64(payload) != checksum ||
+    if (common::Fnv1a64(payload) != checksum ||
         !HandleWorkerFrame(w, type, payload, state)) {
       ok = false;
       break;
@@ -740,7 +741,7 @@ class FrameReader {
         if (buffer_.size() - pos_ >= net::kFrameHeaderSize + length) {
           std::string_view payload(
               buffer_.data() + pos_ + net::kFrameHeaderSize, length);
-          if (snapshot::Fnv1a64(payload) != checksum) {
+          if (common::Fnv1a64(payload) != checksum) {
             return common::FailedPreconditionError(
                 "frame: payload checksum mismatch");
           }

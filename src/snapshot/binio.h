@@ -126,18 +126,6 @@ class ByteReader {
   bool failed_ = false;
 };
 
-// FNV-1a 64-bit: the checksum of snapshot payloads, the schema
-// fingerprint accumulator, and the shard partitioner's signature hash.
-// Stable across processes and runs by construction (no seeding).
-inline uint64_t Fnv1a64(std::string_view data, uint64_t seed = 0xcbf29ce484222325ull) {
-  uint64_t hash = seed;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 }  // namespace oodbsec::snapshot
 
 #endif  // OODBSEC_SNAPSHOT_BINIO_H_

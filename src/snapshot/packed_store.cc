@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "snapshot/binio.h"
 #include "snapshot/snapshot.h"
@@ -49,6 +50,14 @@ struct IndexEntry {
 
 using PackIndex = std::map<uint64_t, IndexEntry>;  // key-sorted
 
+// True when a record (header plus `length` entry bytes) at `offset`
+// ends at or before `limit`. Index entries are untrusted bytes, so no
+// sum here may wrap around 2^64.
+bool RecordFits(uint64_t offset, uint64_t length, uint64_t limit) {
+  return limit >= kRecordHeaderSize && offset <= limit - kRecordHeaderSize &&
+         length <= limit - kRecordHeaderSize - offset;
+}
+
 // ---- segment parsing ---------------------------------------------------
 
 // Validates one record header + entry at `offset` of `file`. Fills
@@ -69,7 +78,7 @@ bool ParseRecordAt(std::string_view file, uint64_t offset, uint64_t* key_out,
   if (LoadU32(entry.data() + 8) != kFormatVersion) return false;
   if (LoadU32(entry.data() + 12) != kByteOrderMark) return false;
   uint64_t checksum = LoadU64(entry.data() + 24);
-  if (Fnv1a64(entry.substr(kEntryHeaderSize)) != checksum) return false;
+  if (common::Fnv1a64(entry.substr(kEntryHeaderSize)) != checksum) return false;
   *key_out = key;
   out->offset = offset;
   out->length = length;
@@ -107,10 +116,16 @@ bool LoadIndex(std::string_view file, PackIndex* index,
       uint64_t index_offset = LoadU64(trailer.data());
       uint64_t count = LoadU64(trailer.data() + 8);
       uint64_t index_checksum = LoadU64(trailer.data() + 16);
-      uint64_t index_bytes = count * kIndexEntrySize;
-      if (index_offset >= kPackHeaderSize && index_offset % 8 == 0 &&
-          index_offset + index_bytes + kTrailerSize == file.size() &&
-          Fnv1a64(file.substr(index_offset, index_bytes)) == index_checksum) {
+      // The count is bounded before it is multiplied, and the offset
+      // must equal the one the count implies: a trailer whose fields
+      // only add up modulo 2^64 falls back to the scan.
+      uint64_t index_end = file.size() - kTrailerSize;
+      if (count <= (index_end - kPackHeaderSize) / kIndexEntrySize &&
+          index_offset == index_end - count * kIndexEntrySize &&
+          index_offset % 8 == 0 &&
+          common::Fnv1a64(file.substr(index_offset,
+                                      count * kIndexEntrySize)) ==
+              index_checksum) {
         PackIndex loaded;
         bool consistent = true;
         for (uint64_t i = 0; i < count; ++i) {
@@ -126,8 +141,7 @@ bool LoadIndex(std::string_view file, PackIndex* index,
           // caught here (or by the checksum above) and falls back.
           if (entry.offset % 8 != 0 || entry.offset < kPackHeaderSize ||
               entry.length < kEntryHeaderSize ||
-              entry.offset + kRecordHeaderSize + entry.length >
-                  index_offset ||
+              !RecordFits(entry.offset, entry.length, index_offset) ||
               file.substr(entry.offset + kRecordHeaderSize, kMagic.size()) !=
                   kMagic) {
             consistent = false;
@@ -336,7 +350,7 @@ class PackedStore final : public SnapshotStore {
     ByteWriter trailer;
     trailer.PutU64(new_records_end);
     trailer.PutU64(compacted.size());
-    trailer.PutU64(Fnv1a64(index_writer.buffer()));
+    trailer.PutU64(common::Fnv1a64(index_writer.buffer()));
     trailer.PutFixedString(kPackIndexMagic);
     fresh += index_writer.buffer();
     fresh += trailer.buffer();
@@ -537,7 +551,7 @@ class PackedStore final : public SnapshotStore {
     ByteWriter trailer;
     trailer.PutU64(records_end_);
     trailer.PutU64(index_.size());
-    trailer.PutU64(Fnv1a64(index_writer.buffer()));
+    trailer.PutU64(common::Fnv1a64(index_writer.buffer()));
     trailer.PutFixedString(kPackIndexMagic);
     std::string footer = index_writer.Release() + trailer.buffer();
     if (!PwriteAll(footer, records_end_)) {
@@ -563,7 +577,7 @@ class PackedStore final : public SnapshotStore {
   common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeLocked(
       const IndexEntry& meta, const schema::Schema& schema,
       const core::ClosureOptions& options, obs::Observability* obs) {
-    if (meta.offset + kRecordHeaderSize + meta.length > map_len_) {
+    if (!RecordFits(meta.offset, meta.length, map_len_)) {
       return common::InternalError(
           common::StrCat("pack ", path_, ": mapping out of date"));
     }

@@ -6,8 +6,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/strings.h"
-#include "lang/printer.h"
 #include "obs/trace.h"
 #include "snapshot/binio.h"
 #include "unfold/unfolded.h"
@@ -49,41 +49,18 @@ std::string_view InternRuleLabel(std::string_view label) {
 
 uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options) {
-  uint64_t hash = Fnv1a64("oodbsec-snapshot-schema");
-  // Every field is hashed with a separator so concatenations can't
-  // collide ("ab"+"c" vs "a"+"bc").
-  auto mix = [&hash](std::string_view piece) {
-    hash = Fnv1a64(piece, hash);
-    hash = Fnv1a64(std::string_view("\x1f", 1), hash);
-  };
-  for (const auto& cls : schema.classes()) {
-    mix("class");
-    mix(cls->name());
-    for (const schema::AttributeDef& attr : cls->attributes()) {
-      mix(attr.name);
-      mix(attr.type->ToString());
-    }
-  }
-  for (const auto& fn : schema.functions()) {
-    mix("function");
-    mix(fn->SignatureToString());
-    mix(lang::PrintExpr(fn->body()));
-  }
-  for (const schema::FunctionDecl* constraint : schema.constraints()) {
-    mix("constraint");
-    mix(constraint->name());
-  }
-  mix("options");
-  mix(OptionBits(options));
-  return hash;
+  // The schema's stored hash is the FNV-1a state after its last field,
+  // so extending it equals hashing everything here in one pass.
+  uint64_t hash = common::Fnv1a64Field("options", schema.fingerprint());
+  return common::Fnv1a64Field(OptionBits(options), hash);
 }
 
 uint64_t SnapshotKeyHash(const core::ClosureOptions& options,
                          const std::vector<std::string>& roots) {
-  uint64_t hash = Fnv1a64(OptionBits(options));
+  uint64_t hash = common::Fnv1a64(OptionBits(options));
   for (const std::string& root : roots) {
-    hash = Fnv1a64("|", hash);
-    hash = Fnv1a64(root, hash);
+    hash = common::Fnv1a64("|", hash);
+    hash = common::Fnv1a64(root, hash);
   }
   return hash;
 }
@@ -151,7 +128,7 @@ std::string BuildEntryBytes(const schema::Schema& schema,
   file.PutU32(kFormatVersion);
   file.PutU32(kByteOrderMark);
   file.PutU64(SchemaFingerprint(schema, options));
-  file.PutU64(Fnv1a64(payload.buffer()));
+  file.PutU64(common::Fnv1a64(payload.buffer()));
   return file.Release() + payload.buffer();
 }
 
@@ -184,7 +161,7 @@ common::Result<std::shared_ptr<const core::CachedAnalysis>> DecodeEntry(
     return Invalid(label, "schema fingerprint mismatch (stale generation)");
   }
   std::string_view payload = bytes.substr(kEntryHeaderSize);
-  if (Fnv1a64(payload) != checksum) {
+  if (common::Fnv1a64(payload) != checksum) {
     return Invalid(label, "payload checksum mismatch (torn or corrupt)");
   }
 

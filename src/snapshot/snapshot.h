@@ -87,6 +87,11 @@ uint64_t SnapshotKeyHash(const core::ClosureOptions& options,
 // every function (signature + printed body), the constraint list, and
 // the ClosureOptions bits. Two processes over the same workspace text
 // compute the same fingerprint; any semantic edit changes it.
+//
+// Cost: O(1). The schema part is schema.fingerprint(), hashed once when
+// the schema was built; this only mixes in "options" and the five
+// option bits (closure_threads is not one of them). Every Find, Save,
+// record encode and decode, and hello may call it freely.
 uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options);
 

@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "closure_test_util.h"
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "core/closure.h"
 #include "core/closure_cache.h"
 #include "schema/schema.h"
-#include "snapshot/binio.h"
 #include "snapshot/snapshot.h"
 #include "unfold/unfolded.h"
 
@@ -74,7 +74,7 @@ Scenario ScaledBroker() {
 }
 
 Golden Pin(const Closure& closure) {
-  return {snapshot::Fnv1a64(SerializeLog(closure)), closure.fact_count()};
+  return {common::Fnv1a64(SerializeLog(closure)), closure.fact_count()};
 }
 
 // Runs the six builds over `s` and checks each against `expected`, in

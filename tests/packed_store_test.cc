@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -30,12 +31,14 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "core/analysis_session.h"
 #include "core/analyzer.h"
 #include "core/closure.h"
 #include "core/closure_cache.h"
 #include "core/requirement.h"
+#include "obs/trace.h"
 #include "schema/schema.h"
 #include "schema/user.h"
 #include "service/analysis_service.h"
@@ -119,6 +122,16 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_TRUE(out.good()) << path;
+}
+
+uint64_t GetU64At(const std::string& bytes, uint64_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+void PutU64At(std::string& bytes, uint64_t at, uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
 }
 
 // Byte-identical derivation logs — the strong form of the replay
@@ -334,6 +347,83 @@ TEST_F(PackedStoreTest, TornIndexFallsBackToRecordScan) {
   EXPECT_TRUE(recovered->Find(*schema_, options_, kSmallRoots).ok());
 }
 
+// Pack footer geometry (packed_store.h): the index entries (key,
+// offset, length, fingerprint, checksum; 40 bytes each) end where the
+// 32-byte trailer (index offset, count, index checksum, magic) begins.
+constexpr uint64_t kIndexEntryBytes = 40;
+constexpr uint64_t kTrailerBytes = 32;
+
+// Both crafted-pack tests end here: the open fell back to the record
+// scan, and every record it recovered replays to a cold build's facts.
+void ExpectEveryRecordMatchesACold(SnapshotStore& store,
+                                   const schema::Schema& schema,
+                                   const ClosureOptions& options) {
+  EXPECT_EQ(store.Stats().entries, 2u);
+  for (const auto& roots : {kFullRoots, kSmallRoots}) {
+    auto found = store.Find(schema, options, roots);
+    ASSERT_TRUE(found.ok()) << found.status();
+    auto cold_set = unfold::UnfoldedSet::Build(schema, roots);
+    ASSERT_TRUE(cold_set.ok()) << cold_set.status();
+    core::Closure cold(*cold_set.value(), options);
+    EXPECT_EQ(found.value()->closure->FactSetDigest(), cold.FactSetDigest());
+  }
+}
+
+TEST_F(PackedStoreTest, WrappedTrailerFallsBackToRecordScan) {
+  {
+    auto store = Open();
+    ASSERT_NE(store, nullptr);
+    ASSERT_NE(BuildAndSave(*schema_, options_, store, kFullRoots), nullptr);
+    ASSERT_NE(BuildAndSave(*schema_, options_, store, kSmallRoots), nullptr);
+  }
+  // An index offset near 2^64 and a count c chosen so that
+  // offset + 40c + 32 == size modulo 2^64: a check on that sum alone
+  // accepts the trailer, and the index substr then throws out of the
+  // open. 0xCCCCCCCCCCCCCCCD is the inverse of 5 modulo 2^64, so
+  // 40c == size - 32 + 4096 mod 2^64.
+  std::string bytes = ReadFileBytes(pack_);
+  const uint64_t size = bytes.size();
+  ASSERT_EQ(size % 8, 0u);
+  const uint64_t offset = ~uint64_t{0} - 4095;  // 2^64 - 4096
+  const uint64_t count =
+      ((size - kTrailerBytes + 4096) / 8 * 0xCCCCCCCCCCCCCCCDull) &
+      ((uint64_t{1} << 61) - 1);
+  ASSERT_EQ(offset + count * kIndexEntryBytes + kTrailerBytes, size);
+  PutU64At(bytes, size - kTrailerBytes, offset);
+  PutU64At(bytes, size - kTrailerBytes + 8, count);
+  WriteFileBytes(pack_, bytes);
+
+  auto recovered = Open();
+  ASSERT_NE(recovered, nullptr);
+  ExpectEveryRecordMatchesACold(*recovered, *schema_, options_);
+}
+
+TEST_F(PackedStoreTest, WrappedIndexEntryFallsBackToRecordScan) {
+  {
+    auto store = Open();
+    ASSERT_NE(store, nullptr);
+    ASSERT_NE(BuildAndSave(*schema_, options_, store, kFullRoots), nullptr);
+    ASSERT_NE(BuildAndSave(*schema_, options_, store, kSmallRoots), nullptr);
+  }
+  // The first index entry's length set to 2^64 - 1, under a recomputed
+  // index checksum: offset + 16 + length wraps below the index, so a
+  // check on that sum accepts the entry, and the first Find would
+  // checksum a 2^64-byte view of the mapping.
+  std::string bytes = ReadFileBytes(pack_);
+  const uint64_t size = bytes.size();
+  const uint64_t index_offset = GetU64At(bytes, size - kTrailerBytes);
+  ASSERT_EQ(GetU64At(bytes, size - kTrailerBytes + 8), 2u);
+  PutU64At(bytes, index_offset + 16, ~uint64_t{0});
+  PutU64At(bytes, size - kTrailerBytes + 16,
+           common::Fnv1a64(std::string_view(bytes).substr(
+               index_offset, 2 * kIndexEntryBytes)));
+  WriteFileBytes(pack_, bytes);
+
+  auto recovered = Open();
+  ASSERT_NE(recovered, nullptr);
+  ExpectEveryRecordMatchesACold(*recovered, *schema_, options_);
+}
+
 TEST_F(PackedStoreTest, ForeignEndianPackIsRefused) {
   {
     auto store = Open();
@@ -493,6 +583,59 @@ TEST_F(PackedStoreTest, SharedStoreIsSharedThroughTheSessionOptions) {
   ASSERT_TRUE(batch.ok()) << batch.status();
   ASSERT_TRUE(service.SaveCacheSnapshot().ok());
   EXPECT_EQ(store->Stats().entries, 3u);
+}
+
+// Names of the spans whose parent is `parent`.
+std::vector<std::string> ChildNames(const std::vector<obs::SpanRecord>& spans,
+                                    obs::SpanId parent) {
+  std::vector<std::string> names;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent == parent) names.push_back(span.name);
+  }
+  return names;
+}
+
+TEST_F(PackedStoreTest, StoreSpansTraceTheRestart) {
+  Fleet fleet = MakeFleet(2);  // three signatures, two requirements each
+  core::SessionOptions options;
+  options.tracing = true;
+  {
+    options.snapshot_store = Open();
+    ASSERT_NE(options.snapshot_store, nullptr);
+    core::AnalysisSession session(*fleet.schema, *fleet.users, options);
+    service::AnalysisService service(session);
+    ASSERT_TRUE(service.CheckBatch(fleet.sheet).ok());
+    ASSERT_EQ(service.cache_size(), 3u);
+    session.tracer().Clear();
+    ASSERT_TRUE(service.SaveCacheSnapshot().ok());
+    std::vector<obs::SpanRecord> spans = session.tracer().Snapshot();
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [](const obs::SpanRecord& span) {
+                              return span.name == "store.save";
+                            }),
+              3);
+  }
+
+  // A fresh store over the saved pack: every distinct signature is one
+  // store.find in the batch's plan phase, replayed by one decode.
+  options.snapshot_store = Open();
+  ASSERT_NE(options.snapshot_store, nullptr);
+  core::AnalysisSession session(*fleet.schema, *fleet.users, options);
+  service::AnalysisService service(session);
+  ASSERT_TRUE(service.CheckBatch(fleet.sheet).ok());
+  EXPECT_EQ(service.Stats().snapshot_hits, 3u);
+  EXPECT_EQ(service.Stats().closures_built, 0u);
+  std::vector<obs::SpanRecord> spans = session.tracer().Snapshot();
+  int finds = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "store.find") continue;
+    ++finds;
+    ASSERT_GE(span.parent, 0);
+    EXPECT_EQ(spans[span.parent].name, "batch.plan");
+    EXPECT_EQ(ChildNames(spans, span.id),
+              std::vector<std::string>{"snapshot.load"});
+  }
+  EXPECT_EQ(finds, 3);
 }
 
 // --- sharded audit over one shared pack ------------------------------

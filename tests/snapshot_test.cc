@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "core/analysis_session.h"
 #include "core/analyzer.h"
@@ -48,6 +49,7 @@
 #include "snapshot/snapshot.h"
 #include "snapshot/snapshot_store.h"
 #include "test_util.h"
+#include "text/workspace.h"
 #include "unfold/unfolded.h"
 
 namespace {
@@ -409,7 +411,7 @@ TEST(SnapshotRoundtrip, FreshProcessReplaysTheAudit) {
 // Recomputes a record's payload checksum after a deliberate edit, so
 // only the rungs past the checksum can catch it.
 void Rechecksum(std::string& record) {
-  uint64_t checksum = snapshot::Fnv1a64(
+  uint64_t checksum = common::Fnv1a64(
       std::string_view(record).substr(snapshot::kEntryHeaderSize));
   std::memcpy(record.data() + 24, &checksum, sizeof checksum);
 }
@@ -469,7 +471,7 @@ class SnapshotRobustnessTest : public ::testing::Test {
     out.PutFixedString(index.buffer());
     out.PutU64(index_offset);
     out.PutU64(1);
-    out.PutU64(snapshot::Fnv1a64(index.buffer()));
+    out.PutU64(common::Fnv1a64(index.buffer()));
     out.PutFixedString(snapshot::kPackIndexMagic);
     WriteFileBytes(pack_, out.buffer());
   }
@@ -655,6 +657,116 @@ TEST_F(SnapshotRobustnessTest, DirectLoadReportsNotFoundDistinctly) {
                                        "definitely not a snapshot");
   EXPECT_EQ(garbage.status().code(),
             common::StatusCode::kFailedPrecondition);
+}
+
+// --- the schema fingerprint -----------------------------------------
+
+// Every pack record carries SchemaFingerprint(schema, options) as its
+// generation stamp, and a Find refuses a record whose stamp differs
+// from the live one. Changing this value — what is hashed, its order,
+// the seed or the separators — therefore orphans every pack on disk:
+// each restart falls back to cold builds until the packs are rewritten.
+TEST(SchemaFingerprintTest, StockbrokerValueIsPinned) {
+  auto workspace = text::LoadWorkspaceFile(OODBSEC_STOCKBROKER_ODB);
+  ASSERT_TRUE(workspace.ok()) << workspace.status();
+  EXPECT_EQ(snapshot::SchemaFingerprint(*workspace->schema, ClosureOptions{}),
+            0x691030215976d97cull);
+}
+
+TEST(SchemaFingerprintTest, SameTextAndAnyThreadCountHashEqual) {
+  auto first = text::LoadWorkspaceFile(OODBSEC_STOCKBROKER_ODB);
+  auto second = text::LoadWorkspaceFile(OODBSEC_STOCKBROKER_ODB);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(first->schema->fingerprint(), second->schema->fingerprint());
+  ClosureOptions one_thread;
+  one_thread.closure_threads = 1;
+  ClosureOptions eight_threads;
+  eight_threads.closure_threads = 8;
+  EXPECT_EQ(snapshot::SchemaFingerprint(*first->schema, one_thread),
+            snapshot::SchemaFingerprint(*second->schema, eight_threads));
+}
+
+// One field per hashed piece; the defaults build the base schema. The
+// edited class, attribute and function are referenced by no other
+// declaration, so each edit changes exactly one hashed piece.
+struct FingerprintSpec {
+  std::string spare_class = "Desk";
+  std::string label_attribute = "label";
+  std::string label_type = "string";
+  std::string audit_function = "checkBudget";
+  std::string none_param_type = "Broker";
+  std::string none_return_type = "Broker";
+  std::string budget_factor = "10";
+  std::string constraint = "positiveBudget";  // empty: none marked
+};
+
+std::unique_ptr<schema::Schema> BuildSpec(const FingerprintSpec& spec) {
+  schema::SchemaBuilder builder;
+  builder.AddClass("Broker", {{"name", "string"},
+                              {"salary", "int"},
+                              {"budget", "int"},
+                              {"profit", "int"}});
+  builder.AddClass(spec.spare_class,
+                   {{spec.label_attribute, spec.label_type}});
+  builder.AddFunction(spec.audit_function, {{"broker", "Broker"}}, "bool",
+                      common::StrCat(">=(r_budget(broker), *(",
+                                     spec.budget_factor,
+                                     ", r_salary(broker)))"));
+  // `null` fits any class- or set-typed position, so the parameter and
+  // return types can change while the body stays the same.
+  builder.AddFunction("none", {{"broker", spec.none_param_type}},
+                      spec.none_return_type, "null");
+  builder.AddFunction("positiveBudget", {{"broker", "Broker"}}, "bool",
+                      ">=(r_budget(broker), 0)");
+  if (!spec.constraint.empty()) builder.MarkConstraint(spec.constraint);
+  auto result = std::move(builder).Build();
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? std::move(result).value() : nullptr;
+}
+
+TEST(SchemaFingerprintTest, EverySingleEditChangesTheValue) {
+  auto base = BuildSpec({});
+  ASSERT_NE(base, nullptr);
+  const uint64_t base_value = snapshot::SchemaFingerprint(*base, {});
+  // Pinned like stockbroker's, and for the same reason; this schema
+  // also covers the constraint section, which stockbroker lacks.
+  EXPECT_EQ(base_value, 0x25773955ad2afc03ull);
+  std::set<uint64_t> values = {base_value};
+
+  const std::vector<std::pair<std::string, FingerprintSpec>> edits = {
+      {"class name", {.spare_class = "Office"}},
+      {"attribute name", {.label_attribute = "title"}},
+      {"attribute type", {.label_type = "int"}},
+      {"function name", {.audit_function = "auditBudget"}},
+      {"parameter type", {.none_param_type = "{Broker}"}},
+      {"return type", {.none_return_type = "{Broker}"}},
+      {"body constant", {.budget_factor = "11"}},
+      {"constraint mark", {.constraint = ""}},
+      {"constraint name", {.constraint = "checkBudget"}},
+  };
+  for (const auto& [what, spec] : edits) {
+    auto edited = BuildSpec(spec);
+    ASSERT_NE(edited, nullptr) << what;
+    uint64_t value = snapshot::SchemaFingerprint(*edited, {});
+    EXPECT_NE(value, base_value) << what;
+    values.insert(value);
+  }
+
+  std::vector<bool ClosureOptions::*> bits = {
+      &ClosureOptions::same_type_argument_equality,
+      &ClosureOptions::pi_join_to_ti,
+      &ClosureOptions::basic_function_rules,
+      &ClosureOptions::write_read_equality,
+      &ClosureOptions::read_object_total_alterability};
+  for (size_t i = 0; i < bits.size(); ++i) {
+    ClosureOptions flipped;
+    flipped.*bits[i] = !(flipped.*bits[i]);
+    uint64_t value = snapshot::SchemaFingerprint(*base, flipped);
+    EXPECT_NE(value, base_value) << "option bit " << i;
+    values.insert(value);
+  }
+  // No two single edits collide either.
+  EXPECT_EQ(values.size(), 1 + edits.size() + bits.size());
 }
 
 // --- shard coordinator ----------------------------------------------

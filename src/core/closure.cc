@@ -39,20 +39,6 @@ int ResolveClosureThreads(int requested) {
   return requested;
 }
 
-// Sorted-unique insert/erase for the small per-rep key lists that
-// replace std::set in the hot tables.
-void InsertSortedUnique(std::vector<std::pair<int, int>>& keys,
-                        std::pair<int, int> key) {
-  auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it == keys.end() || *it != key) keys.insert(it, key);
-}
-
-void EraseSorted(std::vector<std::pair<int, int>>& keys,
-                 std::pair<int, int> key) {
-  auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it != keys.end() && *it == key) keys.erase(it);
-}
-
 void InsertSortedUniqueById(std::vector<const Node*>& nodes,
                             const Node* node) {
   auto it = std::lower_bound(
@@ -147,11 +133,10 @@ void Closure::Build(const Closure* base, const ReplayView* view) {
   // Where the rederive pass re-fires the structural rules: the
   // occurrences a shrink's cone touched, or a grow's new occurrences.
   std::vector<int> touched;
-  std::vector<DeletedPair> deleted_pairs;
   std::vector<char> deleted;
   if (reuse == Reuse::kShrink) {
     obs::ScopedSpan delete_span(tracer, "closure.retract.delete");
-    OverDelete(*base, old_to_new, deleted, touched, deleted_pairs);
+    OverDelete(*base, old_to_new, deleted, touched);
   }
   if (view != nullptr || reuse != Reuse::kCold) {
     obs::ScopedSpan replay_span(tracer, "closure.replay");
@@ -196,7 +181,7 @@ void Closure::Build(const Closure* base, const ReplayView* view) {
   {
     std::optional<obs::ScopedSpan> rederive_span;
     if (retracted_) rederive_span.emplace(tracer, "closure.retract.rederive");
-    Rederive(touched, deleted_pairs);
+    Rederive(touched);
   }
   Run();
   FlushMetrics();
@@ -213,7 +198,11 @@ void Closure::InitTables() {
   pa_.assign(n + 1, kNoFact);
   ti_.resize(n + 1);
   pi_.resize(n + 1);
-  pistar_touching_.resize(n + 1);
+  comp_parent_.resize(n + 1);
+  comp_rank_.assign(n + 1, 0);
+  comp_origins_.resize(n + 1);
+  pistar_edges_.resize(n + 1);
+  pair_of_equals_.assign(n + 1, kNoFact);
   touching_calls_.resize(n + 1);
   obj_reads_.resize(n + 1);
   obj_writes_.resize(n + 1);
@@ -221,6 +210,7 @@ void Closure::InitTables() {
   InitCtx(direct_ctx_);
   for (int i = 1; i <= n; ++i) {
     uf_parent_[i] = i;
+    comp_parent_[i] = i;
     members_[i] = {i};
   }
   // Cross-reference tables.
@@ -251,8 +241,8 @@ void Closure::BuildPremiseIndex() {
   int n = set_->node_count();
   // The alterability triggers are collected per-id and then flattened
   // into the CSR pair (never merged, so the layout can freeze here);
-  // the class-keyed tables stay vectors because MergeClasses folds
-  // them on every union.
+  // the class- and component-keyed tables stay vectors because
+  // MergeClasses and UnionComponents fold them on every union.
   std::vector<std::vector<RuleRef>> alter_triggers(n + 1);
   alter_trigger_offsets_.assign(n + 2, 0);
   alter_trigger_refs_.clear();
@@ -405,13 +395,9 @@ void Closure::ApplyReplayedFact(const Fact& fact, FactId id) {
     case Fact::Kind::kPi:
       pi_[Find(fact.a)].Insert(fact.origin, id);
       break;
-    case Fact::Kind::kPiStar: {
-      std::pair<int, int> key = {Find(fact.a), Find(fact.b)};
-      pistar_[PairKey(key.first, key.second)].Insert(fact.origin, id);
-      InsertSortedUnique(pistar_touching_[key.first], key);
-      InsertSortedUnique(pistar_touching_[key.second], key);
+    case Fact::Kind::kPiStar:
+      ApplyPiStar(fact, id);
       break;
-    }
     case Fact::Kind::kEq: {
       int ra = Find(fact.a);
       int rb = Find(fact.b);
@@ -433,15 +419,16 @@ void Closure::ApplyReplayedFact(const Fact& fact, FactId id) {
 
 void Closure::OverDelete(const Closure& base,
                          const std::vector<int>& old_to_new,
-                         std::vector<char>& deleted, std::vector<int>& touched,
-                         std::vector<DeletedPair>& pairs) {
+                         std::vector<char>& deleted,
+                         std::vector<int>& touched) {
   // Over-delete the cone of base steps that mention a revoked
   // occurrence — as subject, pair partner, or origin provenance — or
   // depend on a marked step. Premise edges alone do not close the cone:
-  // the class-level rules (pi*: join, join of partial inferabilities,
-  // EvalRule's pi* atoms) match their premises through the equivalence
-  // tables, and the eq facts that merged the mediating class are NOT in
-  // the recorded premise list. Classes whose mediation may have changed
+  // the class-level rules (join of partial inferabilities, EvalRule's
+  // ti/pi atoms and the component walks behind its pi* atoms) match
+  // their premises through the equivalence tables, and the eq facts
+  // that merged the mediating class are NOT in the recorded premise
+  // list. Classes whose mediation may have changed
   // are marked *suspect*, and every premise-bearing fact whose own or
   // premise endpoints touch a suspect class is over-deleted as well.
   //
@@ -454,11 +441,12 @@ void Closure::OverDelete(const Closure& base,
   // relied on — every "a ~ b" among survivors still holds — so those
   // facts are kept and the cone stays proportional to the revoked
   // delta instead of swallowing the whole log. Deleting an eq late in
-  // the log can split a class and thereby indict a join earlier in it,
-  // so the sweep repeats to a fixpoint, recomputing connectivity from
-  // the thinner edge set each round (splits are monotone: edges only
-  // disappear). Over-deletion is always safe: the rederive pass
-  // restores whatever has surviving support.
+  // the log can split a class and thereby indict a class-mediated
+  // firing earlier in it, so the sweep repeats to a fixpoint,
+  // recomputing connectivity from the thinner edge set each round
+  // (splits are monotone: edges only disappear). Over-deletion is
+  // always safe: the rederive pass restores whatever has surviving
+  // support.
   deleted.assign(base.steps_.size(), 0);
   auto removed = [&old_to_new](int id) {
     return id != 0 && old_to_new[id] == 0;
@@ -528,14 +516,6 @@ void Closure::OverDelete(const Closure& base,
       if (pair) {
         if (int b = old_to_new[fact.b]; b != 0) touched.push_back(b);
       }
-      if (fact.kind == Fact::Kind::kPiStar) {
-        int a = old_to_new[fact.a];
-        int b = old_to_new[fact.b];
-        int onum = fact.origin.num == 0 ? 0 : old_to_new[fact.origin.num];
-        if (a != 0 && b != 0 && (fact.origin.num == 0 || onum != 0)) {
-          pairs.push_back({a, b, Origin{onum, fact.origin.dir}});
-        }
-      }
     }
   }
   std::sort(touched.begin(), touched.end());
@@ -543,8 +523,7 @@ void Closure::OverDelete(const Closure& base,
                 touched.end());
 }
 
-void Closure::Rederive(const std::vector<int>& touched,
-                       const std::vector<DeletedPair>& pairs) {
+void Closure::Rederive(const std::vector<int>& touched) {
   // Every over-deleted fact's conclusion site is a touched occurrence
   // (or was itself revoked, in which case nothing concludes there any
   // more), so firing every structural producer *at* the touched sites
@@ -559,11 +538,6 @@ void Closure::Rederive(const std::vector<int>& touched,
   reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
   for (int id : touched) RederiveNode(id);
   for (int rep : reps) RederiveClass(rep);
-  // Conclusion-driven DRed: probe one-step alternate support for
-  // exactly the over-deleted pi* facts. Deeper chains resolve in Run()
-  // — every fact a probe restores re-enters the frontier, and
-  // ProcessPiStar fires the full swap/join consequences from there.
-  for (const DeletedPair& pair : pairs) RederivePair(pair);
 }
 
 void Closure::RederiveNode(int id) {
@@ -641,9 +615,8 @@ void Closure::RederiveNode(int id) {
 }
 
 void Closure::RederiveClass(int rep) {
-  // The per-class producers: the ti/pi implication and join, the
-  // equal-pair pi* axiom, and the pi* swap/join around every pair key
-  // touching the class. Origin sets are copied before iterating — the
+  // The per-class producers: the ti/pi implication and join, and the
+  // equal-pair pi* axiom. Origin sets are copied before iterating — the
   // Add* calls below may insert into the very sets being walked.
   {
     OriginSet tis = ti_[rep];
@@ -669,60 +642,12 @@ void Closure::RederiveClass(int rep) {
       }
     }
   }
-  if (members_[rep].size() >= 2) {
-    auto it = pistar_.find(PairKey(rep, rep));
-    if (it == pistar_.end() || it->second.Lookup({0, '+'}) == kNoFact) {
-      int m0 = members_[rep][0];
-      int m1 = members_[rep][1];
-      std::vector<FactId> premises;
-      ExplainEquality(direct_ctx_, m0, m1, premises);
-      AddPiStar(direct_ctx_, m0, m1, {0, '+'}, "=: pair of equals",
-                premises);
-    }
-  }
-}
-
-void Closure::RederivePair(const DeletedPair& pair) {
-  // One-step alternate support for an over-deleted pi*(a, b, origin):
-  // either the swap of a surviving pi*(b, a, origin), or a join
-  // pi*(a, m, origin) + pi*(m, b, _) through some surviving mediator m.
-  // The mediator scan walks whichever endpoint's adjacency list is
-  // shorter, so probes stay cheap even against a hub class.
-  int ra = Find(pair.a);
-  int rb = Find(pair.b);
-  if (ra == rb) return;  // intra-class pairs come from "=: pair of equals"
-  auto it = pistar_.find(PairKey(ra, rb));
-  if (it != pistar_.end() && it->second.Lookup(pair.origin) != kNoFact) {
-    return;  // already restored (replay kept it, or an earlier probe did)
-  }
-  auto swap_it = pistar_.find(PairKey(rb, ra));
-  if (swap_it != pistar_.end()) {
-    FactId swapped = swap_it->second.Lookup(pair.origin);
-    if (swapped != kNoFact) {
-      AddPiStar(direct_ctx_, pair.a, pair.b, pair.origin, "pi*: swap",
-                {swapped});
-      return;
-    }
-  }
-  const std::vector<std::pair<int, int>>& left_adj = pistar_touching_[ra];
-  const std::vector<std::pair<int, int>>& right_adj = pistar_touching_[rb];
-  bool scan_left = left_adj.size() <= right_adj.size();
-  const std::vector<std::pair<int, int>>& adj =
-      scan_left ? left_adj : right_adj;
-  for (const std::pair<int, int>& key : adj) {
-    // Scanning from the left wants keys (ra, m); from the right, (m, rb).
-    int mediator = scan_left ? key.second : key.first;
-    if (scan_left ? key.first != ra : key.second != rb) continue;
-    if (mediator == ra || mediator == rb) continue;
-    auto left_it = pistar_.find(PairKey(ra, mediator));
-    if (left_it == pistar_.end()) continue;
-    FactId left_fact = left_it->second.Lookup(pair.origin);
-    if (left_fact == kNoFact) continue;
-    auto right_it = pistar_.find(PairKey(mediator, rb));
-    if (right_it == pistar_.end() || right_it->second.empty()) continue;
-    AddPiStar(direct_ctx_, pair.a, pair.b, pair.origin, "pi*: join",
-              {left_fact, right_it->second.entries()[0].fact});
-    return;
+  if (members_[rep].size() >= 2 && pair_of_equals_[rep] == kNoFact) {
+    int m0 = members_[rep][0];
+    int m1 = members_[rep][1];
+    std::vector<FactId> premises;
+    ExplainEquality(direct_ctx_, m0, m1, premises);
+    AddPiStar(direct_ctx_, m0, m1, {0, '+'}, "=: pair of equals", premises);
   }
 }
 
@@ -783,6 +708,138 @@ void Closure::ExplainEquality(EvalCtx& ctx, int id1, int id2,
 }
 
 // ---------------------------------------------------------------------
+// pi* components (see the header comment).
+
+int Closure::CompFind(int id) {
+  ++find_calls_;
+  int root = id;
+  while (comp_parent_[root] != root) root = comp_parent_[root];
+  while (comp_parent_[id] != root) {
+    int next = comp_parent_[id];
+    comp_parent_[id] = root;
+    id = next;
+  }
+  return root;
+}
+
+int Closure::UnionComponents(int ca, int cb) {
+  int root = ca;
+  int absorbed = cb;
+  if (comp_rank_[root] < comp_rank_[absorbed]) std::swap(root, absorbed);
+  if (comp_rank_[root] == comp_rank_[absorbed]) ++comp_rank_[root];
+  comp_parent_[absorbed] = root;
+  FoldOrigins(comp_origins_[root], comp_origins_[absorbed]);
+  FoldTriggers(pistar_triggers_[root], pistar_triggers_[absorbed]);
+  return root;
+}
+
+void Closure::FoldTriggers(std::vector<RuleRef>& target,
+                           std::vector<RuleRef>& source) {
+  // Sorted-unique union, so the list keeps the evaluation order of the
+  // per-call scan it replaces.
+  for (const RuleRef& ref : source) {
+    auto it = std::lower_bound(target.begin(), target.end(), ref);
+    if (it == target.end() || !(*it == ref)) target.insert(it, ref);
+  }
+  source.clear();
+  source.shrink_to_fit();
+}
+
+void Closure::FoldOrigins(OriginSet& target, OriginSet& source) {
+  for (const OriginSet::Entry& entry : source.entries()) {
+    target.Insert(entry.origin, entry.fact);  // a no-op once full
+  }
+  source.Clear();
+}
+
+void Closure::ApplyPiStar(const Fact& fact, FactId id) {
+  int ca = CompFind(fact.a);
+  int cb = CompFind(fact.b);
+  if (ca != cb) {
+    pistar_edges_[fact.a].emplace_back(fact.b, id);
+    pistar_edges_[fact.b].emplace_back(fact.a, id);
+    ca = UnionComponents(ca, cb);
+  }
+  comp_origins_[ca].Insert(fact.origin, id);
+  // Origin num 0 is "=: pair of equals", whose endpoints are equal.
+  if (fact.origin.num == 0) {
+    FactId& slot = pair_of_equals_[Find(fact.a)];
+    if (slot == kNoFact) slot = id;
+  }
+}
+
+bool Closure::PiStarIsNew(EvalCtx& ctx, int id1, int id2, Origin origin) {
+  int ca = CtxCompFind(ctx, id1);
+  if (ca != CtxCompFind(ctx, id2)) return true;
+  const OriginSet& origins = comp_origins_[ca];
+  if (origins.Lookup(origin) == kNoFact && !origins.full()) return true;
+  return origin.num == 0 && pair_of_equals_[CtxFind(ctx, id1)] == kNoFact;
+}
+
+bool Closure::PiStarPremise(EvalCtx& ctx, int i, int j, const Origin& guard,
+                            std::vector<FactId>& out) {
+  int ri = CtxFind(ctx, i);
+  int rj = CtxFind(ctx, j);
+  if (ri == rj) {
+    // Equal operands: the class's "=: pair of equals" fact, origin
+    // (0,+), which no guard excludes.
+    if (pair_of_equals_[ri] == kNoFact) return false;
+    out.push_back(pair_of_equals_[ri]);
+    return true;
+  }
+  int ci = CtxCompFind(ctx, ri);
+  if (ci != CtxCompFind(ctx, rj)) return false;
+  Origin origin;
+  FactId carrier;
+  if (!PickOrigin(comp_origins_[ci], &guard, origin, carrier)) return false;
+  // Swap and join carry the carrier's origin along any walk through
+  // the component, so the walk i -> carrier -> j justifies the premise.
+  size_t begin = out.size();
+  const Fact& via = fact_of_[carrier];
+  ExplainComponentPath(ctx, ri, via.a, out);
+  out.push_back(carrier);
+  ExplainComponentPath(ctx, via.b, rj, out);
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+  out.erase(std::unique(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                        out.end()),
+            out.end());
+  return true;
+}
+
+void Closure::ExplainComponentPath(EvalCtx& ctx, int id1, int id2,
+                                   std::vector<FactId>& out) {
+  int from = CtxFind(ctx, id1);
+  int to = CtxFind(ctx, id2);
+  if (from == to) return;
+  // BFS over classes: a class's neighbours are the classes at the far
+  // end of its members' forest edges. Same epoch-stamped scratch as
+  // ExplainEquality; in buffering mode every table read here is frozen.
+  ++ctx.bfs_epoch;
+  ctx.bfs_queue.clear();
+  ctx.bfs_queue.push_back(from);
+  ctx.bfs_seen_epoch[from] = ctx.bfs_epoch;
+  for (size_t head = 0; head < ctx.bfs_queue.size(); ++head) {
+    int current = ctx.bfs_queue[head];
+    if (current == to) break;
+    for (int member : members_[current]) {
+      for (const auto& [next_id, edge] : pistar_edges_[member]) {
+        int next = CtxFind(ctx, next_id);
+        if (ctx.bfs_seen_epoch[next] == ctx.bfs_epoch) continue;
+        ctx.bfs_seen_epoch[next] = ctx.bfs_epoch;
+        ctx.bfs_prev_node[next] = current;
+        ctx.bfs_prev_edge[next] = edge;
+        ctx.bfs_queue.push_back(next);
+      }
+    }
+  }
+  assert(ctx.bfs_seen_epoch[to] == ctx.bfs_epoch &&
+         "component walk requested across two components");
+  for (int at = to; at != from; at = ctx.bfs_prev_node[at]) {
+    out.push_back(ctx.bfs_prev_edge[at]);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Fact derivation.
 
 FactId Closure::Log(Fact fact, std::string_view rule, Premises premises) {
@@ -822,8 +879,7 @@ FactId Closure::Buffer(EvalCtx& ctx, const Fact& fact, std::string_view rule,
 
 FactId Closure::AddTa(EvalCtx& ctx, int id, std::string_view rule,
                       Premises premises) {
-  if (ctx.buffering()) ++ctx.out->add_attempts;
-  else ++add_attempts_;
+  CountAttempt(ctx, Fact::Kind::kTa);
   if (ta_[id] != kNoFact) return ta_[id];
   if (ctx.buffering()) {
     return Buffer(ctx, {Fact::Kind::kTa, id, 0, {}}, rule, premises);
@@ -835,8 +891,7 @@ FactId Closure::AddTa(EvalCtx& ctx, int id, std::string_view rule,
 
 FactId Closure::AddPa(EvalCtx& ctx, int id, std::string_view rule,
                       Premises premises) {
-  if (ctx.buffering()) ++ctx.out->add_attempts;
-  else ++add_attempts_;
+  CountAttempt(ctx, Fact::Kind::kPa);
   if (pa_[id] != kNoFact) return pa_[id];
   if (ctx.buffering()) {
     return Buffer(ctx, {Fact::Kind::kPa, id, 0, {}}, rule, premises);
@@ -848,8 +903,7 @@ FactId Closure::AddPa(EvalCtx& ctx, int id, std::string_view rule,
 
 FactId Closure::AddTi(EvalCtx& ctx, int id, Origin origin,
                       std::string_view rule, Premises premises) {
-  if (ctx.buffering()) ++ctx.out->add_attempts;
-  else ++add_attempts_;
+  CountAttempt(ctx, Fact::Kind::kTi);
   if (ctx.buffering()) {
     const OriginSet& origins = ti_[CtxFind(ctx, id)];
     FactId existing = origins.Lookup(origin);
@@ -868,8 +922,7 @@ FactId Closure::AddTi(EvalCtx& ctx, int id, Origin origin,
 
 FactId Closure::AddPi(EvalCtx& ctx, int id, Origin origin,
                       std::string_view rule, Premises premises) {
-  if (ctx.buffering()) ++ctx.out->add_attempts;
-  else ++add_attempts_;
+  CountAttempt(ctx, Fact::Kind::kPi);
   if (ctx.buffering()) {
     const OriginSet& origins = pi_[CtxFind(ctx, id)];
     FactId existing = origins.Lookup(origin);
@@ -888,36 +941,20 @@ FactId Closure::AddPi(EvalCtx& ctx, int id, Origin origin,
 
 FactId Closure::AddPiStar(EvalCtx& ctx, int id1, int id2, Origin origin,
                           std::string_view rule, Premises premises) {
-  if (ctx.buffering()) ++ctx.out->add_attempts;
-  else ++add_attempts_;
-  std::pair<int, int> key = {CtxFind(ctx, id1), CtxFind(ctx, id2)};
-  if (ctx.buffering()) {
-    // No operator[]: the map must not grow (or rehash) under the other
-    // chunk workers.
-    auto it = pistar_.find(PairKey(key.first, key.second));
-    if (it != pistar_.end()) {
-      FactId existing = it->second.Lookup(origin);
-      if (existing != kNoFact) return existing;
-      if (it->second.full()) return kNoFact;
-    }
-    return Buffer(ctx, {Fact::Kind::kPiStar, id1, id2, origin}, rule,
-                  premises);
-  }
-  OriginSet& origins = pistar_[PairKey(key.first, key.second)];
-  FactId existing = origins.Lookup(origin);
-  if (existing != kNoFact) return existing;
-  if (origins.full()) return kNoFact;
-  FactId fact = Log({Fact::Kind::kPiStar, id1, id2, origin}, rule, premises);
-  origins.Insert(origin, fact);
-  InsertSortedUnique(pistar_touching_[key.first], key);
-  InsertSortedUnique(pistar_touching_[key.second], key);
-  return fact;
+  CountAttempt(ctx, Fact::Kind::kPiStar);
+  // Only base facts reach here; the component tables answer for every
+  // swap and join consequence (see the header comment).
+  if (!PiStarIsNew(ctx, id1, id2, origin)) return kNoFact;
+  Fact fact{Fact::Kind::kPiStar, id1, id2, origin};
+  if (ctx.buffering()) return Buffer(ctx, fact, rule, premises);
+  FactId id = Log(fact, rule, premises);
+  ApplyPiStar(fact, id);
+  return id;
 }
 
 FactId Closure::AddEq(EvalCtx& ctx, int id1, int id2, std::string_view rule,
                       Premises premises) {
-  if (ctx.buffering()) ++ctx.out->add_attempts;
-  else ++add_attempts_;
+  CountAttempt(ctx, Fact::Kind::kEq);
   if (CtxFind(ctx, id1) == CtxFind(ctx, id2)) return kNoFact;  // known
   if (ctx.buffering()) {
     return Buffer(ctx, {Fact::Kind::kEq, id1, id2, {}}, rule, premises);
@@ -1029,12 +1066,13 @@ void Closure::Run() {
       }
     }
   }
-  // Fully compress the union-find: afterwards every parent link points
-  // at its root, Rep() is a single read, and the structure is safe for
-  // concurrent readers (no mutation behind const).
+  // Fully compress both union-finds: afterwards every parent link
+  // points at its root, Rep() is a single read, and the structure is
+  // safe for concurrent readers (no mutation behind const).
   obs::ScopedSpan compress_span(tracer, "closure.compress");
   for (int i = 1; i < static_cast<int>(uf_parent_.size()); ++i) {
     uf_parent_[i] = Find(i);
+    comp_parent_[i] = CompFind(i);
   }
 }
 
@@ -1182,7 +1220,9 @@ void Closure::ApplyChunk(const ChunkOut& out) {
 
 void Closure::SnapshotChunkCounters(const ChunkOut& out) {
   find_calls_ += out.find_calls;
-  add_attempts_ += out.add_attempts;
+  for (size_t k = 0; k < add_attempts_.size(); ++k) {
+    add_attempts_[k] += out.add_attempts[k];
+  }
   rule_evals_ += out.rule_evals;
   basic_reevals_ += out.basic_reevals;
 }
@@ -1348,57 +1388,16 @@ void Closure::ProcessEqMerge(const Fact& fact, FactId fact_id) {
     cross(rb, ra);
   }
 
-  // Snapshot both sides' pi* keys before the union erases the side
-  // distinction: the merge is about to make cross-side chains joinable,
-  // and every pair involved is an already-processed fact the semi-naive
-  // frontier will never revisit. Without the cross-join below, whether
-  // pi*[(ea,ec)] gets derived would depend on whether this eq fact
-  // happened to precede the two pair facts — an order dependence that
-  // cold and warm runs resolve differently (warm starts replay old pairs
-  // without processing them, so a late bridge eq would silently drop the
-  // joins a cold build happens to catch).
-  std::vector<std::pair<int, int>> side_a = pistar_touching_[ra];
-  std::vector<std::pair<int, int>> side_b = pistar_touching_[rb];
+  // Uniting two components that both hold origins can satisfy pi*
+  // premises away from the merged class: operands across the two sides,
+  // or one side's operands under the other side's origins. Premises on
+  // the merged class itself re-fire with its touching calls below.
+  int ca = CompFind(ra);
+  int cb = CompFind(rb);
+  bool refire_pistar = ca != cb && !comp_origins_[ca].empty() &&
+                       !comp_origins_[cb].empty();
 
   int root = MergeClasses(ra, rb);
-
-  // Join: pi*[(ea,eb)], pi*[(eb',ec)] -> pi*[(ea,ec)] where this merge
-  // united eb with eb'. Same rule as ProcessPiStar's join, fired at
-  // merge time for the cross-side combinations that only now chain.
-  // Within-side joins already fired when the later pair was processed.
-  auto cross_join = [&](const std::vector<std::pair<int, int>>& into,
-                        int into_rep,
-                        const std::vector<std::pair<int, int>>& from,
-                        int from_rep) {
-    for (const std::pair<int, int>& left : into) {
-      if (left.second != into_rep) continue;
-      for (const std::pair<int, int>& right : from) {
-        if (right.first != from_rep) continue;
-        // The snapshots hold pre-merge keys; the absorbed side's entries
-        // were re-keyed to `root`, so look up through Find.
-        auto left_it =
-            pistar_.find(PairKey(Find(left.first), Find(left.second)));
-        if (left_it == pistar_.end() || left_it->second.empty()) continue;
-        auto right_it =
-            pistar_.find(PairKey(Find(right.first), Find(right.second)));
-        if (right_it == pistar_.end() || right_it->second.empty()) {
-          continue;
-        }
-        const OriginSet::Entry& left_entry = left_it->second.entries()[0];
-        const OriginSet::Entry& right_entry =
-            right_it->second.entries()[0];
-        const Fact& left_fact = fact_of_[left_entry.fact];
-        const Fact& right_fact = fact_of_[right_entry.fact];
-        if (Find(left_fact.a) == Find(right_fact.b)) continue;
-        // Conclusion keeps the first pair's provenance, mirroring
-        // ProcessPiStar.
-        AddPiStar(direct_ctx_, left_fact.a, right_fact.b, left_entry.origin,
-                  "pi*: join", {left_entry.fact, right_entry.fact});
-      }
-    }
-  };
-  cross_join(side_a, ra, side_b, rb);
-  cross_join(side_b, rb, side_a, ra);
 
   // =[e1,e2] -> pi*[(e1,e2), 0, +]: equal expressions form a known pair.
   AddPiStar(direct_ctx_, fact.a, fact.b, {0, '+'}, "=: pair of equals",
@@ -1415,7 +1414,15 @@ void Closure::ProcessEqMerge(const Fact& fact, FactId fact_id) {
             {entries[0].fact, entries[1].fact});
     }
   }
-  if (options_.basic_function_rules) ReevalCallsTouching(root);
+  if (options_.basic_function_rules) {
+    ReevalCallsTouching(root);
+    if (refire_pistar) {
+      // Copy: direct-mode conclusions may unite components and so
+      // rewrite the very list being walked.
+      std::vector<RuleRef> triggers = pistar_triggers_[CompFind(root)];
+      EvalTriggered(direct_ctx_, triggers);
+    }
+  }
 }
 
 int Closure::MergeClasses(int ra, int rb) {
@@ -1450,60 +1457,21 @@ int Closure::MergeClasses(int ra, int rb) {
       source.shrink_to_fit();
     }
   }
-  // Trigger lists follow their class (same sorted-unique semantics).
-  auto merge_triggers = [&](std::vector<std::vector<RuleRef>>& table) {
-    std::vector<RuleRef>& source = table[absorbed];
-    if (source.empty()) return;
-    std::vector<RuleRef>& target = table[root];
-    for (const RuleRef& ref : source) {
-      auto it = std::lower_bound(target.begin(), target.end(), ref);
-      if (it == target.end() || !(*it == ref)) target.insert(it, ref);
-    }
-    source.clear();
-    source.shrink_to_fit();
-  };
-  merge_triggers(infer_triggers_);
-  merge_triggers(pistar_triggers_);
-
+  // Trigger lists follow their class.
+  FoldTriggers(infer_triggers_[root], infer_triggers_[absorbed]);
   // Merge inferability origin sets ("=: inferability propagation" is
   // materialized by class-level storage).
-  auto merge_origins = [&](std::vector<OriginSet>& table) {
-    OriginSet& source = table[absorbed];
-    if (source.empty()) return;
-    OriginSet& target = table[root];
-    for (const OriginSet::Entry& entry : source.entries()) {
-      if (target.full()) break;
-      target.Insert(entry.origin, entry.fact);
-    }
-    source.Clear();
-  };
-  merge_origins(ti_);
-  merge_origins(pi_);
+  FoldOrigins(ti_[root], ti_[absorbed]);
+  FoldOrigins(pi_[root], pi_[absorbed]);
 
-  // Re-key pi* pairs that touch the absorbed class.
-  {
-    std::vector<std::pair<int, int>> keys =
-        std::move(pistar_touching_[absorbed]);
-    pistar_touching_[absorbed].clear();
-    for (const std::pair<int, int>& key : keys) {
-      auto pair_it = pistar_.find(PairKey(key.first, key.second));
-      if (pair_it == pistar_.end()) continue;
-      OriginSet origins = pair_it->second;
-      pistar_.erase(pair_it);
-      EraseSorted(pistar_touching_[key.first], key);
-      EraseSorted(pistar_touching_[key.second], key);
-      std::pair<int, int> new_key = {
-          key.first == absorbed ? root : key.first,
-          key.second == absorbed ? root : key.second};
-      OriginSet& target = pistar_[PairKey(new_key.first, new_key.second)];
-      for (const OriginSet::Entry& entry : origins.entries()) {
-        if (target.full()) break;
-        target.Insert(entry.origin, entry.fact);
-      }
-      InsertSortedUnique(pistar_touching_[new_key.first], new_key);
-      InsertSortedUnique(pistar_touching_[new_key.second], new_key);
-    }
+  if (pair_of_equals_[root] == kNoFact) {
+    pair_of_equals_[root] = pair_of_equals_[absorbed];
   }
+  pair_of_equals_[absorbed] = kNoFact;
+  // A class lies inside one pi* component.
+  int ca = CompFind(root);
+  int cb = CompFind(absorbed);
+  if (ca != cb) UnionComponents(ca, cb);
   return root;
 }
 
@@ -1544,40 +1512,13 @@ void Closure::ProcessPi(EvalCtx& ctx, const Fact& fact, FactId fact_id) {
 }
 
 void Closure::ProcessPiStar(EvalCtx& ctx, const Fact& fact,
-                            FactId fact_id) {
-  // pi*[(e1,e2)] -> pi*[(e2,e1)] (transposing the set is free).
-  AddPiStar(ctx, fact.b, fact.a, fact.origin, "pi*: swap", {fact_id});
-
-  // Join: pi*[(ea,eb)], pi*[(eb,ec)] -> pi*[(ea,ec)]. Frontier dispatch
-  // only reaches here in the frozen phase, where pistar_touching_ cannot
-  // grow (AddPiStar buffers instead of inserting), so iterating the
-  // lists in place is safe.
-  int ra = CtxFind(ctx, fact.a);
-  int rb = CtxFind(ctx, fact.b);
-  for (const std::pair<int, int>& key : pistar_touching_[rb]) {
-    if (key.first != rb) continue;
-    auto it = pistar_.find(PairKey(key.first, key.second));
-    if (it == pistar_.end() || it->second.empty()) continue;
-    int rc = key.second;
-    if (rc == ra) continue;
-    // Conclusion keeps the first pair's provenance (paper Table 2).
-    AddPiStar(ctx, fact.a, members_[rc].front(), fact.origin, "pi*: join",
-              {fact_id, it->second.entries()[0].fact});
-  }
-  for (const std::pair<int, int>& key : pistar_touching_[ra]) {
-    if (key.second != ra) continue;
-    auto it = pistar_.find(PairKey(key.first, key.second));
-    if (it == pistar_.end() || it->second.empty()) continue;
-    int rc = key.first;
-    if (rc == rb) continue;
-    AddPiStar(ctx, members_[rc].front(), fact.b,
-              it->second.entries()[0].origin, "pi*: join",
-              {it->second.entries()[0].fact, fact_id});
-  }
-
+                            FactId /*fact_id*/) {
+  // Every logged pi* fact changed its component: it united two, brought
+  // a new origin, or gave a class its pair-of-equals fact. The swap and
+  // join consequences are the component tables themselves, so what is
+  // left is re-firing the rules whose pi* premises read the component.
   if (options_.basic_function_rules) {
-    EvalTriggered(ctx, pistar_triggers_[ra]);
-    if (rb != ra) EvalTriggered(ctx, pistar_triggers_[rb]);
+    EvalTriggered(ctx, pistar_triggers_[CtxCompFind(ctx, fact.a)]);
   }
 }
 
@@ -1595,10 +1536,55 @@ bool Closure::PickOrigin(const OriginSet& origins, const Origin* excluded,
   return false;
 }
 
+Origin Closure::ConclusionOrigin(const Node* call, const BasicRule& rule) {
+  const RuleAtom& conclusion = rule.conclusion;
+  if (conclusion.pred != RuleAtom::Pred::kPiStar) {
+    return {call->id, conclusion.pos == kResultPos ? '+' : '-'};
+  }
+  // A pi* conclusion is '-' when any premise involves the result.
+  for (const RuleAtom& atom : rule.premises) {
+    if (atom.pos == kResultPos ||
+        (atom.pred == RuleAtom::Pred::kPiStar && atom.pos2 == kResultPos)) {
+      return {call->id, '-'};
+    }
+  }
+  return {call->id, '+'};
+}
+
+bool Closure::ConclusionKnown(EvalCtx& ctx, const Node* call,
+                              const BasicRule& rule) {
+  const RuleAtom& conclusion = rule.conclusion;
+  auto id_at = [&](int pos) {
+    return pos == kResultPos ? call->id : call->children[pos]->id;
+  };
+  int id = id_at(conclusion.pos);
+  switch (conclusion.pred) {
+    case RuleAtom::Pred::kTa:
+      return ta_[id] != kNoFact;
+    case RuleAtom::Pred::kPa:
+      return pa_[id] != kNoFact;
+    case RuleAtom::Pred::kTi:
+    case RuleAtom::Pred::kPi: {
+      const OriginSet& origins = (conclusion.pred == RuleAtom::Pred::kTi
+                                      ? ti_
+                                      : pi_)[CtxFind(ctx, id)];
+      return origins.full() ||
+             origins.Lookup(ConclusionOrigin(call, rule)) != kNoFact;
+    }
+    case RuleAtom::Pred::kPiStar:
+      return !PiStarIsNew(ctx, id, id_at(conclusion.pos2),
+                          ConclusionOrigin(call, rule));
+  }
+  return false;
+}
+
 void Closure::EvalRule(EvalCtx& ctx, const Node* call,
                        const BasicRule& rule) {
   if (ctx.buffering()) ++ctx.out->rule_evals;
   else ++rule_evals_;
+  // The Add* tail would drop a known conclusion anyway; stopping here
+  // saves the premise reads and their =-chain and component walks.
+  if (ConclusionKnown(ctx, call, rule)) return;
   auto id_at = [&](int pos) {
     return pos == kResultPos ? call->id : call->children[pos]->id;
   };
@@ -1648,17 +1634,10 @@ void Closure::EvalRule(EvalCtx& ctx, const Node* call,
         case RuleAtom::Pred::kPiStar: {
           bool involves_result =
               atom.pos == kResultPos || atom.pos2 == kResultPos;
-          const Origin* excluded =
-              involves_result ? &result_guard : &arg_guard;
-          auto it = pistar_.find(
-              PairKey(CtxFind(ctx, id), CtxFind(ctx, id_at(atom.pos2))));
-          Origin origin;
-          FactId fact;
-          if (it == pistar_.end() ||
-              !PickOrigin(it->second, excluded, origin, fact)) {
+          const Origin& excluded =
+              involves_result ? result_guard : arg_guard;
+          if (!PiStarPremise(ctx, id, id_at(atom.pos2), excluded, premises)) {
             ok = false;
-          } else {
-            premises.push_back(fact);
           }
           break;
         }
@@ -1667,17 +1646,8 @@ void Closure::EvalRule(EvalCtx& ctx, const Node* call,
     }
     if (!ok) return;
 
-    bool premise_involves_result = false;
-    for (const RuleAtom& atom : rule.premises) {
-      if (atom.pos == kResultPos ||
-          (atom.pred == RuleAtom::Pred::kPiStar &&
-           atom.pos2 == kResultPos)) {
-        premise_involves_result = true;
-      }
-    }
-    char dir = premise_involves_result ? '-' : '+';
-
     const RuleAtom& conclusion = rule.conclusion;
+    Origin origin = ConclusionOrigin(call, rule);
     switch (conclusion.pred) {
       case RuleAtom::Pred::kTa:
         AddTa(ctx, id_at(conclusion.pos), rule.label, premises);
@@ -1686,18 +1656,14 @@ void Closure::EvalRule(EvalCtx& ctx, const Node* call,
         AddPa(ctx, id_at(conclusion.pos), rule.label, premises);
         break;
       case RuleAtom::Pred::kTi:
-        AddTi(ctx, id_at(conclusion.pos),
-              {call->id, conclusion.pos == kResultPos ? '+' : '-'},
-              rule.label, premises);
+        AddTi(ctx, id_at(conclusion.pos), origin, rule.label, premises);
         break;
       case RuleAtom::Pred::kPi:
-        AddPi(ctx, id_at(conclusion.pos),
-              {call->id, conclusion.pos == kResultPos ? '+' : '-'},
-              rule.label, premises);
+        AddPi(ctx, id_at(conclusion.pos), origin, rule.label, premises);
         break;
       case RuleAtom::Pred::kPiStar:
-        AddPiStar(ctx, id_at(conclusion.pos), id_at(conclusion.pos2),
-                  {call->id, dir}, rule.label, premises);
+        AddPiStar(ctx, id_at(conclusion.pos), id_at(conclusion.pos2), origin,
+                  rule.label, premises);
         break;
     }
   }
@@ -1712,9 +1678,9 @@ void Closure::ReevalBasicCall(EvalCtx& ctx, const Node* call) {
 }
 
 void Closure::EvalTriggered(EvalCtx& ctx, std::span<const RuleRef> triggers) {
-  // Safe to iterate in place: rule firing only logs or buffers facts
-  // (merges happen at ProcessEqMerge time, never inside Add*), so the
-  // trigger tables cannot move under us.
+  // Frontier dispatch evaluates in buffering mode, where nothing
+  // merges, so the trigger tables cannot move under us; a direct-mode
+  // caller passes a copy (a direct AddPiStar may unite components).
   for (const RuleRef& ref : triggers) EvalRule(ctx, ref.call, *ref.rule);
 }
 
@@ -1764,7 +1730,15 @@ void Closure::FlushMetrics() {
   metrics.counter("closure.facts.total")->Increment(steps_.size());
   metrics.counter("closure.fixpoint.rounds")->Increment(rounds_);
   metrics.counter("closure.uf.finds")->Increment(find_calls_);
-  metrics.counter("closure.add.attempts")->Increment(add_attempts_);
+  uint64_t add_attempts = 0;
+  for (size_t k = 0; k < add_attempts_.size(); ++k) {
+    add_attempts += add_attempts_[k];
+    metrics
+        .counter(common::StrCat("closure.add.attempts.kind.",
+                                KindName(static_cast<Fact::Kind>(k))))
+        ->Increment(add_attempts_[k]);
+  }
+  metrics.counter("closure.add.attempts")->Increment(add_attempts);
   metrics.counter("closure.basic_call.reevals")->Increment(basic_reevals_);
   metrics.counter("closure.eq.merges")->Increment(eq_merges_);
   metrics.counter("closure.delta.rule_evals")->Increment(rule_evals_);
@@ -1856,18 +1830,16 @@ std::string Closure::FactSetDigest() const {
     out += common::StrCat(leader[Rep(id)], ",");
   }
   out.push_back('|');
-  // pi* pairs as (min member, min member), sorted for determinism.
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(pistar_.size());
-  for (const auto& [key, origins] : pistar_) {
-    if (origins.empty()) continue;
-    pairs.emplace_back(leader[static_cast<int>(key >> 32)],
-                       leader[static_cast<int>(key & 0xffffffffu)]);
+  // pi* component partition: each class leader's component leader (the
+  // smallest occurrence of the component), in class-leader order.
+  std::vector<int> comp_leader(n + 1, 0);
+  for (int id = 1; id <= n; ++id) {
+    int comp = comp_parent_[id];  // compressed by Run()
+    if (comp_leader[comp] == 0) comp_leader[comp] = id;
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  for (const auto& [a, b] : pairs) {
-    out += common::StrCat(a, ":", b, ",");
+  for (int id = 1; id <= n; ++id) {
+    if (leader[Rep(id)] != id) continue;
+    out += common::StrCat(comp_leader[comp_parent_[id]], ",");
   }
   return out;
 }

@@ -23,36 +23,61 @@
 //  * Equality is an equivalence; it is maintained as a union-find with a
 //    proof forest, so every use of an equality premise can be explained
 //    by base =-facts (Explain()).
-//  * ti/pi/pi* live on equality classes: the Table-2 rules
+//  * ti/pi live on equality classes: the Table-2 rules
 //    "=[e1,e2], ti[e1] -> ti[e2]" etc. are materialized by class lookup
 //    instead of fact copies. Alterability (ta/pa) does NOT propagate
 //    through generic equality (only through the specific read/write and
 //    let rules), so ta/pa are per-occurrence flags.
-//  * Inferability origin sets are capped at a small constant per class;
-//    since every guard excludes at most one origin and the join rule
-//    needs two, keeping 4 distinct origins preserves completeness while
-//    bounding the closure size.
+//  * ti/pi origin sets are capped at kOriginCap per class. Every rule
+//    guard excludes one origin and the pi-join needs two distinct ones,
+//    so a capped set decides every premise exactly as the uncapped one
+//    would; only which origin a premise cites can differ.
+//  * pi* is never materialized pairwise. Its base facts are the ones
+//    "=: pair of equals" and the basic-function rules conclude; Table
+//    2's "pi*: swap" and "pi*: join" then close every connected group
+//    of classes into a complete graph in which every ordered pair of
+//    distinct classes carries every origin of every base fact in the
+//    group (join keeps its first premise's origin and never concludes
+//    (X, X)). The closure stores exactly that relation: a union-find of
+//    pi* *components* over equality classes, whose edges are the
+//    accepted base facts (and which every equality merge also unites),
+//    an origin set per component (capped at kOriginCap: two distinct
+//    origins decide any single-origin guard), and a spanning forest of
+//    the base facts that united two components. A base fact is logged
+//    only when it unites two components, brings its component a new
+//    origin, or is the first "=: pair of equals" fact of its class, so
+//    swap and join conclusions are never derived, logged, snapshotted
+//    or replayed.
+//  * A rule's pi* premise on operands (i, j) holds when i and j are
+//    equal (the class's "=: pair of equals" fact, origin (0,+), passes
+//    every guard), or when their classes lie in one component that
+//    holds an origin other than the rule's guard. Its justification is
+//    the base facts of a walk through the spanning forest from i's
+//    class to j's that crosses the base fact carrying the chosen origin
+//    — the way a ti/pi premise stored on another class member splices
+//    its =-chain. Every class the walk mediates through is an endpoint
+//    class of a spliced fact, so DRed's suspect-class rule covers it.
 //  * The hot tables are dense: per-occurrence state lives in flat
 //    vectors indexed by occurrence id, origin sets are small inline
 //    sorted arrays (OriginSet), and derivation premises are stored in
 //    one shared arena instead of one heap vector per step. The closure
-//    over a production-sized capability list is dominated by dedup
-//    lookups (millions of Add* calls for tens of thousands of accepted
-//    facts), so the miss path allocates nothing.
+//    is dominated by dedup lookups, so the miss path allocates nothing,
+//    and a rule evaluation whose conclusion is already known stops
+//    before reading its premises (and their =-chain and forest walks).
 //
 // Thread-safety contract: all table *mutation* happens on the
 // constructing thread. With ClosureOptions::closure_threads > 1, Run()
 // additionally spawns a short-lived worker crew, but workers only
 // evaluate rules against the frozen round-start state into private
-// buffers — every write (dedup, Log(), union-find merge, pi* re-keying)
-// still happens sequentially at the round barrier, and the resulting
-// derivation log is byte-identical for every thread count (see Run()).
-// Run() ends with a full path-compression pass over the union-find,
-// after which a Closure is deeply immutable. Every const member
-// function (the Has*/TaFact*/AreEqual queries, ExplainFact*,
-// FactToString) is a pure read and safe to call from many threads
-// concurrently — this is what lets the service layer share one Closure
-// among parallel requirement checks.
+// buffers — every write (dedup, Log(), union-find merges of classes and
+// of pi* components) still happens sequentially at the round barrier,
+// and the resulting derivation log is byte-identical for every thread
+// count (see Run()). Run() ends with a full path-compression pass over
+// both union-finds, after which a Closure is deeply immutable. Every
+// const member function (the Has*/TaFact*/AreEqual queries,
+// ExplainFact*, FactToString) is a pure read and safe to call from many
+// threads concurrently — this is what lets the service layer share one
+// Closure among parallel requirement checks.
 #ifndef OODBSEC_CORE_CLOSURE_H_
 #define OODBSEC_CORE_CLOSURE_H_
 
@@ -64,7 +89,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "core/basic_rules.h"
@@ -84,13 +108,15 @@ struct Origin {
 using FactId = int;
 inline constexpr FactId kNoFact = -1;
 
-// Maximum distinct (num, dir) origins kept per class. Every rule guard
-// excludes at most one origin and the pi-join needs two, so four keeps
-// the system complete while bounding the state (see the header comment).
+// Maximum distinct (num, dir) origins kept per class (ti/pi) and per pi*
+// component. Every rule guard excludes at most one origin and the
+// pi-join needs two, so a capped set decides every premise as the
+// uncapped one would (see the header comment).
 inline constexpr size_t kOriginCap = 4;
 
 struct Fact {
   enum class Kind { kTa, kPa, kTi, kPi, kPiStar, kEq };
+  static constexpr size_t kKindCount = 6;
 
   Kind kind = Kind::kTa;
   int a = 0;       // occurrence id
@@ -99,8 +125,8 @@ struct Fact {
 };
 
 // A small Origin -> FactId map with at most kOriginCap entries, kept
-// sorted by Origin — the dense replacement for std::map in the ti/pi/pi*
-// tables, with identical iteration order.
+// sorted by Origin — the dense replacement for std::map in the ti/pi
+// and pi*-component tables, with identical iteration order.
 class OriginSet {
  public:
   struct Entry {
@@ -162,8 +188,8 @@ using Premises = std::span<const FactId>;
 // DerivationStep with the rule string replaced by an index into a
 // per-record label table. Arrays of these are written verbatim into
 // packed segments and read back by aliasing the mapped bytes — no
-// per-step decode — so the layout is part of the v3 record format:
-// change it and bump the format version.
+// per-step decode — so the layout is part of the snapshot record
+// format: change it and bump the format version.
 struct PackedStep {
   int32_t a = 0;
   int32_t b = 0;
@@ -179,7 +205,7 @@ static_assert(sizeof(PackedStep) == 28);
 static_assert(std::is_trivially_copyable_v<PackedStep>);
 
 // A complete derivation log lifted out of some earlier closure and
-// borrowed straight from a v3 snapshot record (src/snapshot): steps and
+// borrowed straight from a snapshot record (src/snapshot): steps and
 // premise arena alias the record bytes (a mapped pack segment or a
 // frame buffer), `rules` is the record's label table resolved to
 // interned (process-lifetime) string_views. Ids are in the id space of
@@ -321,11 +347,16 @@ class Closure {
   }
 
   // Canonical, order-insensitive summary of the derived fact set:
-  // per-occurrence predicate bits, the equality partition, and the set
-  // of pi* class pairs. Derivation routes, origin provenance, and log
-  // order are deliberately excluded — two closures over the same
-  // unfolded program agree semantically iff their digests are equal.
-  // This is the equivalence the warm-start tests assert.
+  // per-occurrence predicate bits, the equality partition (each
+  // occurrence's class leader, the smallest member), and the pi*
+  // component partition (each class leader's component leader, the
+  // smallest occurrence of the component). The pi* relation is a
+  // function of those two partitions: (X, Y) holds for distinct classes
+  // of one component, and (X, X) for every class of two or more
+  // members. Derivation routes, origin provenance, and log order are
+  // deliberately excluded — two closures over the same unfolded program
+  // agree semantically iff their digests are equal. This is the
+  // equivalence the warm-start tests assert.
   std::string FactSetDigest() const;
 
   // Capability queries by occurrence id. pi/pa include ti/ta (the
@@ -381,14 +412,15 @@ class Closure {
     std::vector<Candidate> candidates;
     std::vector<FactId> premise_pool;
     uint64_t find_calls = 0;
-    uint64_t add_attempts = 0;
+    std::array<uint64_t, Fact::kKindCount> add_attempts{};  // per Fact::Kind
     uint64_t rule_evals = 0;
     uint64_t basic_reevals = 0;
 
     void Clear() {
       candidates.clear();
       premise_pool.clear();
-      find_calls = add_attempts = rule_evals = basic_reevals = 0;
+      find_calls = rule_evals = basic_reevals = 0;
+      add_attempts.fill(0);
     }
   };
   // Evaluation context threaded through every rule-firing helper. The
@@ -440,6 +472,37 @@ class Closure {
   // context's BFS scratch.
   void ExplainEquality(EvalCtx& ctx, int id1, int id2,
                        std::vector<FactId>& out);
+
+  // --- pi* components (see the header comment) ---
+  // Finds over comp_parent_, mirroring Find/CtxFind: mutating in the
+  // sequential phases, a read-only walk (with chunk-local accounting)
+  // in buffering mode.
+  int CompFind(int id);
+  int CtxCompFind(EvalCtx& ctx, int id) {
+    if (!ctx.buffering()) return CompFind(id);
+    ++ctx.out->find_calls;
+    while (comp_parent_[id] != id) id = comp_parent_[id];
+    return id;
+  }
+  // Unites two components (union by rank), folding the absorbed one's
+  // origin set and trigger list into the survivor; returns its root.
+  int UnionComponents(int ca, int cb);
+  // The table half of an accepted base pi* fact: the component union
+  // plus its forest edge, the component's origin, and the class's
+  // pair-of-equals slot. Shared by AddPiStar and Replay.
+  void ApplyPiStar(const Fact& fact, FactId id);
+  // AddPiStar's dedup: true when the base fact (id1, id2, origin) would
+  // unite two components, bring its component a new origin, or fill
+  // its class's pair-of-equals slot.
+  bool PiStarIsNew(EvalCtx& ctx, int id1, int id2, Origin origin);
+  // Decides a rule's pi* premise on (i, j) under `guard`; when it holds,
+  // appends its justification (see the header comment) to `out`.
+  bool PiStarPremise(EvalCtx& ctx, int i, int j, const Origin& guard,
+                     std::vector<FactId>& out);
+  // Appends the forest facts of a class-level walk from id1's class to
+  // id2's (both in one component), using the context's BFS scratch.
+  void ExplainComponentPath(EvalCtx& ctx, int id1, int id2,
+                            std::vector<FactId>& out);
 
   // --- fact derivation (dedup + log + worklist) ---
   // The rule string must have static (or closure-outliving) storage.
@@ -514,21 +577,18 @@ class Closure {
     }
   };
   // Fills the trigger tables: every premise atom of every rule
-  // instantiation is indexed under the occurrence (alterability) or
-  // class (inferability / pi*) it reads, so a newly derived fact visits
-  // only the rules it can complete.
+  // instantiation is indexed under the occurrence (alterability), class
+  // (inferability) or pi* component (pi*) it reads, so a newly derived
+  // fact visits only the rules it can complete.
   void BuildPremiseIndex();
+  // The per-root table folds a union shares: move `source`'s entries
+  // into `target` and empty it (triggers stay sorted-unique, origins
+  // stay capped).
+  static void FoldTriggers(std::vector<RuleRef>& target,
+                           std::vector<RuleRef>& source);
+  static void FoldOrigins(OriginSet& target, OriginSet& source);
 
   // --- the build: match, over-delete, replay, rederive ---
-  // An over-deleted pi* fact whose endpoints (and origin occurrence)
-  // survive the shrink, recorded in *new* id space. The rederive pass
-  // attempts exactly these conclusions instead of sweeping the pair
-  // index, keeping the cost proportional to the cone.
-  struct DeletedPair {
-    int a;
-    int b;
-    Origin origin;
-  };
   enum class Reuse { kCold, kGrow, kShrink };
   // The one build sequence behind both constructors: tables, the DRed
   // over-delete when shrinking `base`, one replay of `base` or `view`
@@ -546,11 +606,10 @@ class Closure {
   Reuse MatchRoots(const Closure& base, std::vector<int>& old_to_new) const;
   // The DRed over-delete: marks in `deleted` the cone of base steps
   // that a shrink by `old_to_new` invalidates, and collects the
-  // surviving occurrences the cone touched (sorted unique) and its pi*
-  // conclusions for Rederive().
+  // surviving occurrences the cone touched (sorted unique) for
+  // Rederive().
   void OverDelete(const Closure& base, const std::vector<int>& old_to_new,
-                  std::vector<char>& deleted, std::vector<int>& touched,
-                  std::vector<DeletedPair>& pairs);
+                  std::vector<char>& deleted, std::vector<int>& touched);
   // The one replay loop. Appends every step of `source` (a live
   // closure's log or a snapshot record's) to this closure's log and
   // applies it to the tables, but never enqueues it — Seed() + Run()
@@ -567,17 +626,15 @@ class Closure {
   // Re-fires the structural (non-basic) rules at `touched` (sorted
   // unique): the surviving occurrences a shrink's cone mentioned, whose
   // conclusions may have been over-deleted, or the occurrences a grow
-  // added, which the replayed facts never reached. `pairs` holds the
-  // over-deleted pi* conclusions to probe for one-step alternate
-  // support. Additions enter the frontier and propagate in Run(), which
-  // also restores any conclusion whose alternate support is itself
-  // rederived later. Empty lists make it a no-op (cold and snapshot
-  // builds).
-  void Rederive(const std::vector<int>& touched,
-                const std::vector<DeletedPair>& pairs);
+  // added, which the replayed facts never reached. Additions enter the
+  // frontier and propagate in Run(), which also restores any conclusion
+  // whose alternate support is itself rederived later. An empty list
+  // makes it a no-op (cold and snapshot builds). Over-deleted pi* facts
+  // need no probe of their own: every one is a base fact, which Seed()
+  // or RederiveClass concludes again when its support survives.
+  void Rederive(const std::vector<int>& touched);
   void RederiveNode(int id);
   void RederiveClass(int rep);
-  void RederivePair(const DeletedPair& pair);
 
   // --- rule application ---
   void Seed();
@@ -597,8 +654,8 @@ class Closure {
   //   through the ordinary dedup + Log() path (duplicates melt here).
   //
   //   Phase B (sequential): the round's =-facts are merged in frontier
-  //   order — union-find mutation, pi* re-keying, and the cross-class
-  //   re-fires stay single-threaded.
+  //   order — union-find mutation (classes and the pi* components they
+  //   lie in) and the cross-class re-fires stay single-threaded.
   //
   // Facts derived mid-round become visible one round later (they enter
   // the next frontier), so the log differs from a live-interleaved
@@ -630,11 +687,25 @@ class Closure {
                            FactId eq_or_alter, const unfold::Node* read);
   // Structural half of an equality merge: union by rank plus the merge
   // of every per-class table (members, reads/writes, touching calls,
-  // trigger lists, origin sets, pi* re-keying). Shared between
-  // ProcessEqMerge and Replay; returns the surviving root.
+  // trigger lists, origin sets, the pair-of-equals slot) and the union
+  // of the two classes' pi* components. Shared between ProcessEqMerge
+  // and Replay; returns the surviving root.
   int MergeClasses(int ra, int rb);
   void EvalRule(EvalCtx& ctx, const unfold::Node* call,
                 const BasicRule& rule);
+  // The origin EvalRule gives `rule`'s conclusion at `call`.
+  static Origin ConclusionOrigin(const unfold::Node* call,
+                                 const BasicRule& rule);
+  // True when `rule`'s conclusion at `call` would be dropped by its
+  // Add* dedup: EvalRule then skips reading the premises.
+  bool ConclusionKnown(EvalCtx& ctx, const unfold::Node* call,
+                       const BasicRule& rule);
+  // Counts one Add* call (dedup lookup) of `kind` in `ctx`'s ledger.
+  void CountAttempt(EvalCtx& ctx, Fact::Kind kind) {
+    size_t k = static_cast<size_t>(kind);
+    if (ctx.buffering()) ++ctx.out->add_attempts[k];
+    else ++add_attempts_[k];
+  }
   void EvalTriggered(EvalCtx& ctx, std::span<const RuleRef> triggers);
   void ReevalBasicCall(EvalCtx& ctx, const unfold::Node* call);
   void ReevalCallsTouching(int rep);
@@ -646,11 +717,6 @@ class Closure {
   static bool PickOrigin(const OriginSet& origins, const Origin* excluded,
                          Origin& origin_out, FactId& fact_out);
 
-  static uint64_t PairKey(int a, int b) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-           static_cast<uint32_t>(b);
-  }
-
   const unfold::UnfoldedSet* set_;
   ClosureOptions options_;
   // Observability (construction only; may be null). The work counters
@@ -661,7 +727,8 @@ class Closure {
   // shared registry once, in FlushMetrics().
   obs::Observability* obs_ = nullptr;
   uint64_t find_calls_ = 0;     // union-find lookups during construction
-  uint64_t add_attempts_ = 0;   // Add* calls (dedup lookups), incl. misses
+  // Add* calls (dedup lookups), incl. misses, per Fact::Kind.
+  std::array<uint64_t, Fact::kKindCount> add_attempts_{};
   uint64_t basic_reevals_ = 0;  // whole-call rule re-evaluations
   uint64_t rule_evals_ = 0;     // single-rule evaluations (incl. indexed)
   uint64_t eq_merges_ = 0;      // equality merges actually performed
@@ -690,11 +757,21 @@ class Closure {
   // Indexed by class representative id.
   std::vector<OriginSet> ti_;
   std::vector<OriginSet> pi_;
-  // pi* pairs keyed by (rep, rep); pistar_touching_[rep] lists the keys
-  // involving rep, sorted (the dense replacement for std::set — the
-  // sorted order preserves the original rule-firing order).
-  std::unordered_map<uint64_t, OriginSet> pistar_;
-  std::vector<std::vector<std::pair<int, int>>> pistar_touching_;
+  // pi* components (see the header comment): a union-find over
+  // occurrence ids whose every union is a base pi* fact or an equality
+  // merge, so each class lies inside one component.
+  std::vector<int> comp_parent_;
+  std::vector<int> comp_rank_;
+  // Indexed by component root: the distinct origins of its base facts,
+  // each with the first fact that carried it.
+  std::vector<OriginSet> comp_origins_;
+  // Spanning forest: the base pi* facts that united two components, as
+  // adjacency lists over their endpoint occurrences (the counterpart of
+  // eq_edges_).
+  std::vector<std::vector<std::pair<int, FactId>>> pistar_edges_;
+  // Indexed by class representative: the class's "=: pair of equals"
+  // fact, which its intra-class pi* premises cite; kNoFact when none.
+  std::vector<FactId> pair_of_equals_;
 
   // Rep id -> basic calls with an argument or themselves in the class,
   // sorted by occurrence id, unique.
@@ -705,8 +782,9 @@ class Closure {
   // CSR-style — one offsets array over one contiguous RuleRef payload —
   // which chunk workers scan without chasing a per-id vector header.
   // infer_triggers_ / pistar_triggers_ must stay vector-of-vectors:
-  // they are keyed by class representative and merged on every union
-  // (MergeClasses), which a flattened layout cannot absorb mid-
+  // they are keyed by class representative (infer) or pi* component
+  // root (pistar) and merged on every union (MergeClasses,
+  // UnionComponents), which a flattened layout cannot absorb mid-
   // fixpoint. All lists are sorted by (call id, catalog order), unique
   // — the evaluation order of the full per-call scan they replace.
   std::vector<uint32_t> alter_trigger_offsets_;  // id -> payload range

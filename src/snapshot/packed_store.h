@@ -21,7 +21,7 @@
 //              index offset u64 | entry count u64
 //              | index checksum u64 (FNV-1a) | "OODBPIDX"    (32 bytes)
 //
-// Each entry is one format-v3 snapshot record (snapshot/snapshot.h),
+// Each entry is one format-v4 snapshot record (snapshot/snapshot.h),
 // validated and replayed by DecodeEntry with its step array and
 // premise arena aliased straight out of the mmap'd segment — no
 // intermediate buffers.

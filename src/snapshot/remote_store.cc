@@ -352,7 +352,7 @@ void StoreServer::ServeConnection(net::Socket conn) {
         auto found = backing_->Find(*schema_, options_, roots);
         common::Status write = common::Status::Ok();
         if (found.ok()) {
-          // Re-encode the replayed, digest-verified entry as a v3
+          // Re-encode the replayed, digest-verified entry as a v4
           // record; the client re-validates on its side of the wire.
           write = net::WriteFrame(conn.fd(), FrameType::kStoreFound,
                                   BuildEntryBytes(*schema_, options_,

@@ -9,7 +9,7 @@
 // closure cache already speaks, so the L1/L2 tiering code does not
 // know the L2 is remote. The server is then the store's single writer.
 //
-// What crosses the wire is one v3 snapshot record (BuildEntryBytes,
+// What crosses the wire is one v4 snapshot record (BuildEntryBytes,
 // snapshot/snapshot.h) — the same bytes a pack stores. Both ends
 // validate independently: the server replays and digest-checks before
 // encoding, the client re-validates with DecodeEntry after the bytes

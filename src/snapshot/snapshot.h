@@ -12,7 +12,7 @@
 // fixpoint. This is what turns a nightly-audit restart from a cold
 // population-wide fixpoint into file reads.
 //
-// One encoding, the format-v3 record, serves every consumer: it is the
+// One encoding, the format-v4 record, serves every consumer: it is the
 // entry inside a pack record (packed_store.h) and the payload of the
 // remote store's find/save frames (remote_store.h). Layout (all
 // integers host-endian):
@@ -62,9 +62,12 @@
 
 namespace oodbsec::snapshot {
 
-// Bump on any change to the record layout above.
+// Bump on any change to the record layout above, or to what a
+// replayed log means.
 // v3: the payload laid out for in-place replay (PackedStep array).
-inline constexpr uint32_t kFormatVersion = 3;
+// v4: pi* as components over equality classes — logs hold only base pi*
+//     facts, and the digest's third section is the component partition.
+inline constexpr uint32_t kFormatVersion = 4;
 inline constexpr std::string_view kMagic = "OODBSNAP";
 // Record header: magic, version, byte-order marker, fingerprint,
 // checksum. Everything after it is the checksummed payload.
@@ -96,13 +99,13 @@ uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options);
 
 // Serializes `entry` (roots + digest + derivation log, built under
-// (schema, options)) into one v3 record. Empty when the entry has no
+// (schema, options)) into one v4 record. Empty when the entry has no
 // closure.
 std::string BuildEntryBytes(const schema::Schema& schema,
                             const core::ClosureOptions& options,
                             const core::CachedAnalysis& entry);
 
-// Validates, re-unfolds, and replays one v3 record (the inverse of
+// Validates, re-unfolds, and replays one v4 record (the inverse of
 // BuildEntryBytes). `label` names the source in diagnostics (a pack
 // path, a remote endpoint). Returns kFailedPrecondition for every rung
 // of the ladder above, the message saying which; never crashes on

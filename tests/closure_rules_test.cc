@@ -303,6 +303,41 @@ TEST(Table2PiStar, ComparisonOutcomePairsOperandsThroughProducts) {
   EXPECT_TRUE(closure.HasTi(read_a));
 }
 
+TEST(Table2PiStar, PairPremiseSeesEveryOriginOfItsComponent) {
+  // pi*: swap and join give every ordered pair of distinct classes in a
+  // component every origin of every base pair in it. Here the pair "*:
+  // pair pins left" reads, (abs(...), *), is concluded only with the
+  // call's own origin, which its guard excludes, but its component also
+  // holds the outer /'s (from "/: outcome pairs operands"), which
+  // passes. So ti on 8 % r_a3(o) by (the * call, '-') must be derived.
+  schema::SchemaBuilder builder;
+  builder.AddClass("C", {{"a0", "int"}, {"a2", "int"}, {"a3", "int"}});
+  builder.AddFunction(
+      "f", {{"o", "C"}}, "int",
+      "(r_a3(o) / r_a2(o)) / ((8 % r_a3(o)) * abs(r_a2(o) * r_a0(o)))");
+  auto built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  auto set = Unfold(*built.value(), {"f"});
+  Closure closure(*set);
+  int star = FindNode(*set, [](const unfold::Node& n) {
+    return n.kind == NodeKind::kBasicCall && n.basic->name() == "*" &&
+           n.children[0]->kind == NodeKind::kBasicCall &&
+           n.children[0]->basic->name() == "%";
+  });
+  ASSERT_NE(star, 0);
+  int modulo = set->node(star)->children[0]->id;
+  bool found = false;
+  for (const DerivationStep& step : closure.steps()) {
+    if (step.fact.kind == Fact::Kind::kTi &&
+        step.fact.origin == Origin{star, '-'} &&
+        closure.AreEqual(step.fact.a, modulo)) {
+      EXPECT_EQ(step.rule, "*: pair pins left");
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 // --- Requirement sites and A(R) plumbing on crafted workloads ---
 
 TEST(Table2Sites, IndirectSitesSeeBoundExpressions) {

@@ -135,24 +135,24 @@ void CheckScenario(const Scenario& s, const Golden (&expected)[6]) {
 
 TEST(GoldenLogTest, StockbrokerLogsMatchPinnedBytes) {
   const Golden kExpected[6] = {
-      {0x9ff3293bab53dd0eull, 420},   // cold
-      {0x930c6ea6b1f7fed9ull, 420},   // grow
-      {0x10513fbbcdf373f5ull, 343},   // shrink-one
-      {0x3a493290ef4bdd53ull, 133},   // shrink-department
-      {0x9ff3293bab53dd0eull, 420},   // equal-roots
-      {0x930c6ea6b1f7fed9ull, 420},   // snapshot
+      {0xa9453d0795db8279ull, 140},   // cold
+      {0x6a661fd7aa9b0eb6ull, 140},   // grow
+      {0x1d33fbcea56897c7ull, 123},   // shrink-one
+      {0xb28907d39c73a881ull, 57},    // shrink-department
+      {0xa9453d0795db8279ull, 140},   // equal-roots
+      {0x6a661fd7aa9b0eb6ull, 140},   // snapshot
   };
   CheckScenario(Stockbroker(), kExpected);
 }
 
 TEST(GoldenLogTest, ScaledBrokerLogsMatchPinnedBytes) {
   const Golden kExpected[6] = {
-      {0x8806846ca7d0d44eull, 2773},  // cold
-      {0xa73d6bcc9afeb98eull, 2774},  // grow
-      {0x3a9a970be5293464ull, 1807},  // shrink-one
-      {0xba50da8bc5e63872ull, 1317},  // shrink-department
-      {0x8806846ca7d0d44eull, 2773},  // equal-roots
-      {0xa73d6bcc9afeb98eull, 2774},  // snapshot
+      {0x321818b8d4652c52ull, 397},   // cold
+      {0xa31bed401446b53aull, 398},   // grow
+      {0xdf003628b9a3bda5ull, 383},   // shrink-one
+      {0x645d8682b188fdf7ull, 266},   // shrink-department
+      {0x321818b8d4652c52ull, 397},   // equal-roots
+      {0xa31bed401446b53aull, 398},   // snapshot
   };
   CheckScenario(ScaledBroker(), kExpected);
 }

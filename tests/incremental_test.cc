@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <random>
 #include <string>
@@ -158,6 +159,42 @@ TEST(WarmStartTest, RootIdRangesAreStableAcrossRootLists) {
   for (int id = in_small->first_node_id; id <= in_small->body->id; ++id) {
     EXPECT_EQ(small->node(id)->kind, large->node(id + offset)->kind);
   }
+}
+
+// Builds a schema of one class C with the given int attributes and
+// (name, return type, body) functions over one parameter o: C.
+std::unique_ptr<schema::Schema> OneClassSchema(
+    const std::vector<std::string>& attributes,
+    const std::vector<std::array<std::string, 3>>& functions) {
+  schema::SchemaBuilder builder;
+  std::vector<schema::SchemaBuilder::AttributeSpec> specs;
+  for (const std::string& attribute : attributes) {
+    specs.push_back({attribute, "int"});
+  }
+  builder.AddClass("C", std::move(specs));
+  for (const auto& [name, result, body] : functions) {
+    builder.AddFunction(name, {{"o", "C"}}, result, body);
+  }
+  auto built = std::move(builder).Build();
+  EXPECT_TRUE(built.ok()) << built.status();
+  return std::move(built).value();
+}
+
+TEST(WarmStartTest, GrowKeepsEveryPiStarPairOfAColdBuild) {
+  // A grow replays pi* facts without processing them, so the replayed
+  // tables alone must answer every pi* premise a cold build answers.
+  auto schema = OneClassSchema(
+      {"a0", "a1", "a2"},
+      {{"f", "bool", "abs(r_a1(o)) * (r_a0(o) % 9) > r_a2(o)"}});
+  auto base_set = Unfold(*schema, {"f"});
+  Closure base(*base_set);
+  auto grown_set = Unfold(*schema, {"f", "w_a0"});
+  Closure grown(*grown_set, {}, nullptr, &base);
+  ASSERT_TRUE(grown.warm_started());
+  ASSERT_FALSE(grown.retracted());
+  auto cold_set = Unfold(*schema, {"f", "w_a0"});
+  Closure cold(*cold_set);
+  EXPECT_EQ(grown.FactSetDigest(), cold.FactSetDigest());
 }
 
 TEST(ClosureCacheTest, GetOrBuildPrefersWarmAndCountsStats) {
@@ -376,6 +413,24 @@ TEST(RetractTest, SingleRevokeMatchesColdDigest) {
     Closure cold(*reduced_set);
     EXPECT_EQ(shrunk.FactSetDigest(), cold.FactSetDigest()) << revoked;
   }
+}
+
+TEST(RetractTest, ShrinkKeepsEveryPiStarPairOfAColdBuild) {
+  // A shrink rebuilds the pi* components from the surviving base pairs
+  // only; every pair a cold build derives must come back, including
+  // those whose support ran through pairs the replay never processes.
+  auto schema = OneClassSchema(
+      {"a1", "a2", "a4"}, {{"f3", "bool", "r_a4(o) >= r_a2(o)"},
+                           {"f5", "int", "r_a1(o)"},
+                           {"f9", "int", "8 % f5(o) + r_a2(o) % f5(o)"}});
+  auto base_set = Unfold(*schema, {"f3", "f9", "w_a1", "w_a4"});
+  Closure base(*base_set);
+  auto shrunk_set = Unfold(*schema, {"f3", "w_a1", "w_a4"});
+  Closure shrunk(*shrunk_set, {}, nullptr, &base);
+  ASSERT_TRUE(shrunk.retracted());
+  auto cold_set = Unfold(*schema, {"f3", "w_a1", "w_a4"});
+  Closure cold(*cold_set);
+  EXPECT_EQ(shrunk.FactSetDigest(), cold.FactSetDigest());
 }
 
 TEST(RetractTest, RevokeThenRegrantMatchesCold) {

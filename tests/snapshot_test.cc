@@ -587,6 +587,12 @@ TEST_F(SnapshotRobustnessTest, WrongMagicOrFormatVersion) {
   std::string version = record_;
   version[8] ^= 0x7f;  // the u32 version lives at bytes 8..11
   ExpectLadderFallback(version, "record version");
+  // A record of the previous format, whose logs materialized every pi*
+  // swap and join, must rebuild cold rather than replay.
+  std::string previous = record_;
+  const uint32_t v3 = 3;
+  std::memcpy(previous.data() + 8, &v3, sizeof v3);
+  ExpectLadderFallback(previous, "record version");
 }
 
 TEST_F(SnapshotRobustnessTest, WrongSchemaFingerprintBytes) {

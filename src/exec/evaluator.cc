@@ -1,29 +1,14 @@
 #include "exec/evaluator.h"
 
-#include <algorithm>
+#include <span>
+#include <utility>
 
 #include "common/strings.h"
-#include "lang/printer.h"
 
 namespace oodbsec::exec {
 
 using common::Result;
 using types::Value;
-
-void Environment::Push(std::string name, Value value) {
-  bindings_.emplace_back(std::move(name), std::move(value));
-}
-
-void Environment::Pop(size_t count) {
-  bindings_.resize(bindings_.size() - std::min(count, bindings_.size()));
-}
-
-const Value* Environment::Find(std::string_view name) const {
-  for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
-    if (it->first == name) return &it->second;
-  }
-  return nullptr;
-}
 
 Result<Value> Evaluator::CallFunction(const schema::FunctionDecl& fn,
                                       const std::vector<Value>& args) {
@@ -32,11 +17,10 @@ Result<Value> Evaluator::CallFunction(const schema::FunctionDecl& fn,
         common::StrCat("'", fn.name(), "' expects ", fn.params().size(),
                        " argument(s), got ", args.size()));
   }
-  Environment env;
-  for (size_t i = 0; i < args.size(); ++i) {
-    env.Push(fn.params()[i].name, args[i]);
-  }
-  return Eval(fn.body(), env);
+  const size_t base = stack_.size();
+  stack_.insert(stack_.end(), args.begin(), args.end());
+  Value result = Invoke(fn, base);
+  return Finish(std::move(result), base);
 }
 
 Result<Value> Evaluator::CallByName(std::string_view name,
@@ -69,94 +53,126 @@ Result<Value> Evaluator::CallByName(std::string_view name,
   return common::InternalError("unreachable");
 }
 
-Result<Value> Evaluator::Eval(const lang::Expr& expr, Environment& env) {
-  Value result;
+size_t Evaluator::OpenFrame(size_t size) {
+  const size_t base = stack_.size();
+  stack_.resize(base + size);
+  return base;
+}
+
+common::Status Evaluator::TakeError() {
+  failed_ = false;
+  return std::exchange(error_, common::Status::Ok());
+}
+
+Value Evaluator::Fail(common::Status status) {
+  if (!failed_) {
+    failed_ = true;
+    error_ = std::move(status);
+  }
+  return Value();
+}
+
+Result<Value> Evaluator::Finish(Value result, size_t base) {
+  stack_.resize(base);
+  if (failed_) return TakeError();
+  return result;
+}
+
+Value Evaluator::Invoke(const schema::FunctionDecl& fn, size_t base) {
+  stack_.resize(base + fn.frame_size());
+  Value result = Eval(fn.body(), base);
+  stack_.resize(base);
+  return result;
+}
+
+Value Evaluator::Eval(const lang::Expr& expr, size_t base) {
   switch (expr.kind()) {
     case lang::ExprKind::kConstant:
-      result = expr.AsConstant().value();
-      break;
+      return expr.AsConstant().value();
 
     case lang::ExprKind::kVarRef: {
-      const Value* value = env.Find(expr.AsVarRef().name());
-      if (value == nullptr) {
-        return common::InternalError(common::StrCat(
-            "unbound variable '", expr.AsVarRef().name(),
-            "' at evaluation time (missing type check?)"));
+      const lang::VarRefExpr& var = expr.AsVarRef();
+      if (var.slot() < 0) {
+        return Fail(common::InternalError(common::StrCat(
+            "unbound variable '", var.name(),
+            "' at evaluation time (missing type check?)")));
       }
-      result = *value;
-      break;
+      return slot(base, var.slot());
     }
 
-    case lang::ExprKind::kCall: {
-      const lang::CallExpr& call = expr.AsCall();
-      std::vector<Value> args;
-      args.reserve(call.args().size());
-      for (const auto& arg : call.args()) {
-        OODBSEC_ASSIGN_OR_RETURN(Value value, Eval(*arg, env));
-        args.push_back(std::move(value));
-      }
-      switch (call.target()) {
-        case lang::CallTarget::kBasic:
-          result = call.basic()->Eval(args);
-          break;
-        case lang::CallTarget::kAccess: {
-          const schema::FunctionDecl* fn =
-              db_.schema().FindFunction(call.name());
-          if (fn == nullptr) {
-            return common::InternalError(
-                common::StrCat("missing function '", call.name(), "'"));
-          }
-          OODBSEC_ASSIGN_OR_RETURN(result, CallFunction(*fn, args));
-          break;
-        }
-        case lang::CallTarget::kReadAttr: {
-          if (!args[0].is_object()) {
-            return common::FailedPreconditionError(common::StrCat(
-                "attribute read '", call.name(), "' on ", args[0].ToString()));
-          }
-          OODBSEC_ASSIGN_OR_RETURN(
-              result, db_.ReadAttribute(args[0].oid(), call.attribute()));
-          break;
-        }
-        case lang::CallTarget::kWriteAttr: {
-          if (!args[0].is_object()) {
-            return common::FailedPreconditionError(common::StrCat(
-                "attribute write '", call.name(), "' on ",
-                args[0].ToString()));
-          }
-          OODBSEC_RETURN_IF_ERROR(
-              db_.WriteAttribute(args[0].oid(), call.attribute(), args[1]));
-          result = Value::Null();
-          break;
-        }
-        case lang::CallTarget::kUnresolved:
-          return common::InternalError(common::StrCat(
-              "unresolved call '", call.name(), "' (missing type check?)"));
-      }
-      break;
-    }
+    case lang::ExprKind::kCall:
+      return EvalCall(expr.AsCall(), base);
 
     case lang::ExprKind::kLet: {
       const lang::LetExpr& let = expr.AsLet();
-      size_t pushed = 0;
       for (const lang::LetExpr::Binding& binding : let.bindings()) {
-        Result<Value> init = Eval(*binding.init, env);
-        if (!init.ok()) {
-          env.Pop(pushed);
-          return init;
-        }
-        env.Push(binding.name, std::move(init).value());
-        ++pushed;
+        Value init = Eval(*binding.init, base);
+        if (failed_) return Value();
+        slot(base, binding.slot) = std::move(init);
       }
-      Result<Value> body = Eval(let.body(), env);
-      env.Pop(pushed);
-      if (!body.ok()) return body;
-      result = std::move(body).value();
-      break;
+      return Eval(let.body(), base);
     }
   }
+  return Fail(common::InternalError("unknown expression kind"));
+}
 
-  if (trace_) trace_(expr, result);
+Value Evaluator::EvalCall(const lang::CallExpr& call, size_t base) {
+  // The arguments, left to right, straight onto the stack top: for an
+  // access call they are the callee's frame.
+  const size_t args = stack_.size();
+  for (const auto& arg : call.args()) {
+    Value value = Eval(*arg, base);
+    if (failed_) {
+      stack_.resize(args);
+      return Value();
+    }
+    stack_.push_back(std::move(value));
+  }
+
+  Value result;
+  switch (call.target()) {
+    case lang::CallTarget::kBasic:
+      result = call.basic()->Eval(
+          std::span<const Value>(stack_).subspan(args));
+      break;
+    case lang::CallTarget::kAccess:
+      if (call.access() == nullptr) {
+        result = Fail(common::InternalError(
+            common::StrCat("missing function '", call.name(), "'")));
+        break;
+      }
+      return Invoke(*call.access(), args);
+    case lang::CallTarget::kReadAttr: {
+      const Value& object = stack_[args];
+      if (!object.is_object()) {
+        result = Fail(common::FailedPreconditionError(common::StrCat(
+            "attribute read '", call.name(), "' on ", object.ToString())));
+        break;
+      }
+      common::Status read = db_.ReadSlot(object.oid(), *call.attribute_class(),
+                                         call.attribute_slot(), result);
+      if (!read.ok()) result = Fail(std::move(read));
+      break;
+    }
+    case lang::CallTarget::kWriteAttr: {
+      const Value& object = stack_[args];
+      if (!object.is_object()) {
+        result = Fail(common::FailedPreconditionError(common::StrCat(
+            "attribute write '", call.name(), "' on ", object.ToString())));
+        break;
+      }
+      common::Status write =
+          db_.WriteSlot(object.oid(), *call.attribute_class(),
+                        call.attribute_slot(), std::move(stack_[args + 1]));
+      if (!write.ok()) Fail(std::move(write));
+      break;
+    }
+    case lang::CallTarget::kUnresolved:
+      result = Fail(common::InternalError(common::StrCat(
+          "unresolved call '", call.name(), "' (missing type check?)")));
+      break;
+  }
+  stack_.resize(args);
   return result;
 }
 

@@ -29,73 +29,58 @@ Result<QueryResult> QueryEvaluator::Run(const SelectQuery& query) {
   if (user_ != nullptr) {
     OODBSEC_RETURN_IF_ERROR(CheckQueryCapabilities(query, *user_));
   }
-  exec::Environment env;
-  return RunWithEnv(query, env);
-}
-
-Result<QueryResult> QueryEvaluator::RunWithEnv(const SelectQuery& query,
-                                               exec::Environment& env) {
   QueryResult result;
-  OODBSEC_RETURN_IF_ERROR(EvalBindings(query, env, 0, result));
+  const size_t frame = evaluator_.OpenFrame(query.frame_size);
+  const bool ok = Bindings(query, 0, frame, result);
+  evaluator_.CloseFrame(frame);
+  if (!ok) return evaluator_.TakeError();
   return result;
 }
 
-Status QueryEvaluator::EvalBindings(const SelectQuery& query,
-                                    exec::Environment& env,
-                                    size_t binding_index,
-                                    QueryResult& result) {
-  if (binding_index == query.bindings.size()) {
-    return EvalRow(query, env, result);
-  }
-  const FromBinding& binding = query.bindings[binding_index];
+bool QueryEvaluator::Bindings(const SelectQuery& query, size_t index,
+                              size_t frame, QueryResult& result) {
+  if (index == query.bindings.size()) return Row(query, frame, result);
+  const FromBinding& binding = query.bindings[index];
 
-  if (!binding.class_name.empty()) {
-    // Snapshot the extent: queries do not create objects, so iteration
-    // over a copy matches iteration over the live extent; the copy keeps
-    // the loop safe should that ever change.
-    std::vector<types::Oid> extent = db_.Extent(binding.class_name);
-    for (types::Oid oid : extent) {
-      env.Push(binding.var, Value::Object(oid));
-      Status status = EvalBindings(query, env, binding_index + 1, result);
-      env.Pop();
-      OODBSEC_RETURN_IF_ERROR(status);
+  if (binding.cls != nullptr) {
+    // Queries create no objects, so the extent stays put while we walk it.
+    for (types::Oid oid : db_.Extent(*binding.cls)) {
+      evaluator_.slot(frame, binding.slot) = Value::Object(oid);
+      if (!Bindings(query, index + 1, frame, result)) return false;
     }
-    return Status::Ok();
+    return true;
   }
 
-  exec::Evaluator evaluator(db_);
-  OODBSEC_ASSIGN_OR_RETURN(Value set_value,
-                           evaluator.Eval(*binding.set_expr, env));
-  if (set_value.is_null()) return Status::Ok();  // empty source
+  Value set_value = evaluator_.Eval(*binding.set_expr, frame);
+  if (evaluator_.failed()) return false;
+  if (set_value.is_null()) return true;  // empty source
   if (!set_value.is_set()) {
-    return common::TypeError(
+    evaluator_.Fail(common::TypeError(
         common::StrCat("from-source of '", binding.var,
-                       "' evaluated to non-set ", set_value.ToString()));
+                       "' evaluated to non-set ", set_value.ToString())));
+    return false;
   }
   for (const Value& element : set_value.set_value()) {
-    env.Push(binding.var, element);
-    Status status = EvalBindings(query, env, binding_index + 1, result);
-    env.Pop();
-    OODBSEC_RETURN_IF_ERROR(status);
+    evaluator_.slot(frame, binding.slot) = element;
+    if (!Bindings(query, index + 1, frame, result)) return false;
   }
-  return Status::Ok();
+  return true;
 }
 
-Status QueryEvaluator::EvalRow(const SelectQuery& query,
-                               exec::Environment& env, QueryResult& result) {
-  exec::Evaluator evaluator(db_);
-
+bool QueryEvaluator::Row(const SelectQuery& query, size_t frame,
+                         QueryResult& result) {
   if (query.where != nullptr) {
-    OODBSEC_ASSIGN_OR_RETURN(Value cond, evaluator.Eval(*query.where, env));
-    if (!cond.is_bool() || !cond.bool_value()) return Status::Ok();
+    Value cond = evaluator_.Eval(*query.where, frame);
+    if (evaluator_.failed()) return false;
+    if (!cond.is_bool() || !cond.bool_value()) return true;
   }
 
   std::vector<Value> row;
   row.reserve(query.items.size());
   for (const SelectItem& item : query.items) {
     if (item.subquery != nullptr) {
-      OODBSEC_ASSIGN_OR_RETURN(QueryResult sub,
-                               RunWithEnv(*item.subquery, env));
+      QueryResult sub;
+      if (!Bindings(*item.subquery, 0, frame, sub)) return false;
       types::ValueSet elements;
       elements.reserve(sub.rows.size());
       for (std::vector<Value>& sub_row : sub.rows) {
@@ -103,12 +88,12 @@ Status QueryEvaluator::EvalRow(const SelectQuery& query,
       }
       row.push_back(Value::Set(std::move(elements)));
     } else {
-      OODBSEC_ASSIGN_OR_RETURN(Value value, evaluator.Eval(*item.expr, env));
-      row.push_back(std::move(value));
+      row.push_back(evaluator_.Eval(*item.expr, frame));
+      if (evaluator_.failed()) return false;
     }
   }
   result.rows.push_back(std::move(row));
-  return Status::Ok();
+  return true;
 }
 
 }  // namespace oodbsec::query

@@ -380,6 +380,7 @@ Result<std::unique_ptr<Schema>> SchemaBuilder::Build() && {
       return status.WithContext(
           common::StrCat("in body of '", fn->name(), "'"));
     }
+    fn->set_frame_size(checker.frame_size());
   }
 
   // Pass 5: recursion-freedom (paper §2).

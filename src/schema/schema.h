@@ -81,6 +81,11 @@ class FunctionDecl {
   const lang::Expr& body() const { return *body_; }
   lang::Expr& mutable_body() { return *body_; }
 
+  // The evaluation frame a call needs: the parameters plus the body's
+  // deepest let nesting (lang::TypeChecker::frame_size()).
+  size_t frame_size() const { return frame_size_; }
+  void set_frame_size(size_t frame_size) { frame_size_ = frame_size; }
+
   int ParamIndex(std::string_view name) const;
 
   // "f(x : t, …) : t" without the body.
@@ -91,6 +96,7 @@ class FunctionDecl {
   std::vector<Param> params_;
   const types::Type* return_type_;
   std::unique_ptr<lang::Expr> body_;
+  size_t frame_size_ = 0;
 };
 
 // The result of resolving a callable name: an access function, a special

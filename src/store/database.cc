@@ -1,7 +1,6 @@
 #include "store/database.h"
 
 #include "common/strings.h"
-#include "lang/type_checker.h"
 
 namespace oodbsec::store {
 
@@ -43,13 +42,19 @@ Result<Oid> Database::CreateObject(std::string_view class_name) {
     record.attributes.push_back(ZeroValue(attr.type));
   }
   objects_.emplace(oid.raw(), std::move(record));
-  extents_[cls->name()].push_back(oid);
+  extents_[cls].push_back(oid);
   return oid;
 }
 
 const std::vector<Oid>& Database::Extent(std::string_view class_name) const {
   static const std::vector<Oid>& empty = *new std::vector<Oid>();
-  auto it = extents_.find(class_name);
+  const schema::ClassDef* cls = schema_->FindClass(class_name);
+  return cls == nullptr ? empty : Extent(*cls);
+}
+
+const std::vector<Oid>& Database::Extent(const schema::ClassDef& cls) const {
+  static const std::vector<Oid>& empty = *new std::vector<Oid>();
+  auto it = extents_.find(&cls);
   return it == extents_.end() ? empty : it->second;
 }
 
@@ -63,6 +68,12 @@ const schema::ClassDef* Database::ClassOf(Oid oid) const {
   return record == nullptr ? nullptr : record->cls;
 }
 
+Status Database::NoSuchAttribute(const ObjectRecord& record,
+                                 std::string_view attribute) {
+  return common::NotFoundError(common::StrCat(
+      "class '", record.cls->name(), "' has no attribute '", attribute, "'"));
+}
+
 Result<Value> Database::ReadAttribute(Oid oid,
                                       std::string_view attribute) const {
   const ObjectRecord* record = FindObject(oid);
@@ -70,11 +81,7 @@ Result<Value> Database::ReadAttribute(Oid oid,
     return common::NotFoundError("read of unknown object");
   }
   int index = record->cls->AttributeIndex(attribute);
-  if (index < 0) {
-    return common::NotFoundError(
-        common::StrCat("class '", record->cls->name(),
-                       "' has no attribute '", attribute, "'"));
-  }
+  if (index < 0) return NoSuchAttribute(*record, attribute);
   return record->attributes[static_cast<size_t>(index)];
 }
 
@@ -84,15 +91,41 @@ Status Database::WriteAttribute(Oid oid, std::string_view attribute,
   if (it == objects_.end()) {
     return common::NotFoundError("write to unknown object");
   }
-  ObjectRecord& record = it->second;
-  int index = record.cls->AttributeIndex(attribute);
-  if (index < 0) {
-    return common::NotFoundError(
-        common::StrCat("class '", record.cls->name(), "' has no attribute '",
-                       attribute, "'"));
+  int index = it->second.cls->AttributeIndex(attribute);
+  if (index < 0) return NoSuchAttribute(it->second, attribute);
+  return Store(it->second, static_cast<size_t>(index), std::move(value));
+}
+
+Status Database::ReadSlot(Oid oid, const schema::ClassDef& cls, int slot,
+                          Value& out) const {
+  const ObjectRecord* record = FindObject(oid);
+  if (record == nullptr) {
+    return common::NotFoundError("read of unknown object");
   }
-  const types::Type* declared =
-      record.cls->attributes()[static_cast<size_t>(index)].type;
+  const size_t index = static_cast<size_t>(slot);
+  if (record->cls != &cls) {
+    return NoSuchAttribute(*record, cls.attributes()[index].name);
+  }
+  out = record->attributes[index];
+  return Status::Ok();
+}
+
+Status Database::WriteSlot(Oid oid, const schema::ClassDef& cls, int slot,
+                           Value value) {
+  auto it = objects_.find(oid.raw());
+  if (it == objects_.end()) {
+    return common::NotFoundError("write to unknown object");
+  }
+  const size_t index = static_cast<size_t>(slot);
+  if (it->second.cls != &cls) {
+    return NoSuchAttribute(it->second, cls.attributes()[index].name);
+  }
+  return Store(it->second, index, std::move(value));
+}
+
+Status Database::Store(ObjectRecord& record, size_t index, Value value) {
+  const schema::AttributeDef& attribute = record.cls->attributes()[index];
+  const types::Type* declared = attribute.type;
   // Dynamic type check: the stored value must fit the declared type.
   bool ok = false;
   switch (declared->kind()) {
@@ -117,10 +150,10 @@ Status Database::WriteAttribute(Oid oid, std::string_view attribute,
   }
   if (!ok) {
     return common::TypeError(common::StrCat(
-        "value ", value.ToString(), " does not fit attribute '", attribute,
-        "' of type ", declared->ToString()));
+        "value ", value.ToString(), " does not fit attribute '",
+        attribute.name, "' of type ", declared->ToString()));
   }
-  record.attributes[static_cast<size_t>(index)] = std::move(value);
+  record.attributes[index] = std::move(value);
   return Status::Ok();
 }
 

@@ -9,7 +9,6 @@
 #define OODBSEC_STORE_DATABASE_H_
 
 #include <cstdint>
-#include <map>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -40,6 +39,7 @@ class Database {
   // The extent of `class_name` in creation order; empty for unknown
   // classes.
   const std::vector<types::Oid>& Extent(std::string_view class_name) const;
+  const std::vector<types::Oid>& Extent(const schema::ClassDef& cls) const;
 
   // The class of `oid`, or nullptr for unknown oids.
   const schema::ClassDef* ClassOf(types::Oid oid) const;
@@ -52,6 +52,16 @@ class Database {
   // to the attribute's declared type.
   common::Status WriteAttribute(types::Oid oid, std::string_view attribute,
                                 types::Value value);
+
+  // The evaluator's resolved forms of the two calls above: the
+  // attribute is attributes()[slot] of `cls` (lang::CallExpr's
+  // attribute slot). The object must exist and be an instance of `cls`;
+  // otherwise they fail with the by-name calls' NotFound. A read copies
+  // the value into `out`.
+  common::Status ReadSlot(types::Oid oid, const schema::ClassDef& cls,
+                          int slot, types::Value& out) const;
+  common::Status WriteSlot(types::Oid oid, const schema::ClassDef& cls,
+                           int slot, types::Value value);
 
   // Deep snapshot sharing the same schema.
   Database Clone() const;
@@ -69,10 +79,17 @@ class Database {
   };
 
   const ObjectRecord* FindObject(types::Oid oid) const;
+  static common::Status NoSuchAttribute(const ObjectRecord& record,
+                                        std::string_view attribute);
+  // Stores `value` in attribute `index` of `record` after the dynamic
+  // type check.
+  static common::Status Store(ObjectRecord& record, size_t index,
+                              types::Value value);
 
   const schema::Schema* schema_;
   std::unordered_map<uint64_t, ObjectRecord> objects_;
-  std::map<std::string, std::vector<types::Oid>, std::less<>> extents_;
+  std::unordered_map<const schema::ClassDef*, std::vector<types::Oid>>
+      extents_;
   uint64_t next_oid_ = 1;
 };
 

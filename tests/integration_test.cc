@@ -3,6 +3,9 @@
 // together (load -> analyze -> attack -> guard on one state).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "attack/attacks.h"
 #include "core/analysis_session.h"
 #include "core/analyzer.h"
@@ -79,6 +82,43 @@ TEST(IntegrationTest, WorkspaceSerializerRoundTrips) {
 
   // The dump itself is idempotent.
   EXPECT_EQ(text::FormatWorkspace(*second), dumped);
+}
+
+TEST(IntegrationTest, MinIntAttributeRoundTrips) {
+  // FormatWorkspace prints INT64_MIN as -9223372036854775808, which must
+  // load back as INT64_MIN; 2^63 without the minus is out of range.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto first = text::LoadWorkspace(
+      "class Broker { budget: int; salary: int; }\n"
+      "object Broker { budget = -9223372036854775808, salary = 1 }\n");
+  ASSERT_TRUE(first.ok()) << first.status();
+  types::Oid john = first->database->Extent("Broker")[0];
+  EXPECT_EQ(first->database->ReadAttribute(john, "budget").value(),
+            Value::Int(kMin));
+  ASSERT_TRUE(
+      first->database->WriteAttribute(john, "salary", Value::Int(kMin)).ok());
+
+  std::string dumped = text::FormatWorkspace(*first);
+  EXPECT_NE(dumped.find("salary = -9223372036854775808"), std::string::npos)
+      << dumped;
+  auto second = text::LoadWorkspace(dumped);
+  ASSERT_TRUE(second.ok()) << second.status() << "\n--- dump ---\n"
+                           << dumped;
+  types::Oid john2 = second->database->Extent("Broker")[0];
+  EXPECT_EQ(second->database->ReadAttribute(john2, "budget").value(),
+            Value::Int(kMin));
+  EXPECT_EQ(second->database->ReadAttribute(john2, "salary").value(),
+            Value::Int(kMin));
+  EXPECT_EQ(text::FormatWorkspace(*second), dumped);
+
+  auto bare = text::LoadWorkspace(
+      "class Broker { budget: int; }\n"
+      "object Broker { budget = 9223372036854775808 }\n");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), common::StatusCode::kParseError);
+  EXPECT_NE(bare.status().message().find("integer literal out of range"),
+            std::string::npos)
+      << bare.status();
 }
 
 TEST(IntegrationTest, ReadmeExampleBehavesAsDocumented) {

@@ -34,7 +34,7 @@ void CollectFromExpr(const lang::Expr& expr, std::set<std::string>& names) {
 
 void CollectFromQuery(const SelectQuery& query, std::set<std::string>& names) {
   for (const FromBinding& binding : query.bindings) {
-    if (binding.class_name.empty()) {
+    if (binding.cls == nullptr) {
       CollectFromExpr(*binding.set_expr, names);
     }
   }

@@ -86,7 +86,7 @@ TEST(BinderTest, ResolvesClassExtentSource) {
   auto query = ParseQueryString("select r_age(p) from p in Person");
   ASSERT_TRUE(query.ok());
   ASSERT_TRUE(BindQuery(*query.value(), *schema).ok());
-  EXPECT_EQ(query.value()->bindings[0].class_name, "Person");
+  EXPECT_EQ(query.value()->bindings[0].cls, schema->FindClass("Person"));
   EXPECT_EQ(query.value()->bindings[0].element_type,
             schema->FindClass("Person")->type());
   EXPECT_TRUE(query.value()->bound);
@@ -99,7 +99,7 @@ TEST(BinderTest, ResolvesSetExpressionSource) {
   ASSERT_TRUE(query.ok());
   auto status = BindQuery(*query.value(), *schema);
   ASSERT_TRUE(status.ok()) << status;
-  EXPECT_TRUE(query.value()->bindings[1].class_name.empty());
+  EXPECT_EQ(query.value()->bindings[1].cls, nullptr);
   EXPECT_EQ(query.value()->bindings[1].element_type,
             schema->FindClass("Person")->type());
 }

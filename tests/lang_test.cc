@@ -1,21 +1,54 @@
 #include <gtest/gtest.h>
 
 #include "common/diagnostics.h"
+#include "common/strings.h"
 #include "lang/ast.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
+#include "query/query_parser.h"
+#include "text/workspace.h"
 
 namespace oodbsec::lang {
 namespace {
 
+// One token as the lexer produced it, its text copied out of the
+// lexer's reach.
+struct Lexed {
+  TokenKind kind;
+  std::string text;
+  int64_t int_value;
+  common::SourceLocation location;
+};
+
+// Steps a Lexer over `source` up to and including the kEnd token.
+std::vector<Lexed> Lex(std::string_view source) {
+  Lexer lexer(source);
+  std::vector<Lexed> out;
+  while (true) {
+    Token token = lexer.Next();
+    out.push_back({token.kind, std::string(token.text), token.int_value,
+                   token.location});
+    if (token.kind == TokenKind::kEnd) return out;
+  }
+}
+
 std::vector<TokenKind> KindsOf(std::string_view source) {
   std::vector<TokenKind> kinds;
-  for (const Token& token : Lexer::TokenizeAll(source)) {
-    kinds.push_back(token.kind);
-  }
+  for (const Lexed& token : Lex(source)) kinds.push_back(token.kind);
   return kinds;
 }
+
+// "line:col" of every token, the kEnd token included.
+std::vector<std::string> LocationsOf(std::string_view source) {
+  std::vector<std::string> out;
+  for (const Lexed& token : Lex(source)) {
+    out.push_back(token.location.ToString());
+  }
+  return out;
+}
+
+using Strings = std::vector<std::string>;
 
 TEST(LexerTest, EmptyInput) {
   EXPECT_EQ(KindsOf(""), (std::vector<TokenKind>{TokenKind::kEnd}));
@@ -30,8 +63,35 @@ TEST(LexerTest, IdentifiersAndKeywords) {
                                     TokenKind::kIdentifier, TokenKind::kEnd}));
 }
 
+TEST(LexerTest, EveryKeywordAndItsNearMisses) {
+  const std::pair<const char*, TokenKind> keywords[] = {
+      {"let", TokenKind::kKwLet},           {"in", TokenKind::kKwIn},
+      {"end", TokenKind::kKwEnd},           {"null", TokenKind::kKwNull},
+      {"true", TokenKind::kKwTrue},         {"false", TokenKind::kKwFalse},
+      {"and", TokenKind::kKwAnd},           {"or", TokenKind::kKwOr},
+      {"not", TokenKind::kKwNot},           {"class", TokenKind::kKwClass},
+      {"function", TokenKind::kKwFunction}, {"user", TokenKind::kKwUser},
+      {"can", TokenKind::kKwCan},           {"require", TokenKind::kKwRequire},
+      {"select", TokenKind::kKwSelect},     {"from", TokenKind::kKwFrom},
+      {"where", TokenKind::kKwWhere},       {"object", TokenKind::kKwObject},
+      {"constraint", TokenKind::kKwConstraint},
+  };
+  for (const auto& [word, kind] : keywords) {
+    std::string text(word);
+    EXPECT_EQ(Lex(text)[0].kind, kind) << text;
+    EXPECT_EQ(Lex(text)[0].text, text);
+    for (std::string near : {text + "_", text + "1", "_" + text,
+                             text.substr(0, text.size() - 1),
+                             std::string(1, static_cast<char>(text[0] - 32)) +
+                                 text.substr(1)}) {
+      EXPECT_EQ(Lex(near)[0].kind, TokenKind::kIdentifier) << near;
+      EXPECT_EQ(Lex(near)[0].text, near);
+    }
+  }
+}
+
 TEST(LexerTest, IntLiterals) {
-  auto tokens = Lexer::TokenizeAll("0 42 12345");
+  auto tokens = Lex("0 42 12345");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[0].int_value, 0);
   EXPECT_EQ(tokens[1].int_value, 42);
@@ -39,7 +99,7 @@ TEST(LexerTest, IntLiterals) {
 }
 
 TEST(LexerTest, StringLiteralsWithEscapes) {
-  auto tokens = Lexer::TokenizeAll(R"("hi" "a\"b" "x\\y" "n\nl")");
+  auto tokens = Lex(R"("hi" "a\"b" "x\\y" "n\nl")");
   ASSERT_EQ(tokens.size(), 5u);
   EXPECT_EQ(tokens[0].text, "hi");
   EXPECT_EQ(tokens[1].text, "a\"b");
@@ -47,9 +107,36 @@ TEST(LexerTest, StringLiteralsWithEscapes) {
   EXPECT_EQ(tokens[3].text, "n\nl");
 }
 
+TEST(LexerTest, StringLiteralsWithAndWithoutEscapes) {
+  auto tokens = Lex("\"a\\\"b\" \"plain\" \"\" \"t\\tx\" x");
+  ASSERT_EQ(tokens.size(), 6u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kStringLiteral);
+  EXPECT_EQ(tokens[0].text, "a\"b");
+  EXPECT_EQ(tokens[0].location.ToString(), "1:1");
+  EXPECT_EQ(tokens[1].text, "plain");
+  EXPECT_EQ(tokens[1].location.ToString(), "1:8");
+  EXPECT_EQ(tokens[2].text, "");
+  EXPECT_EQ(tokens[2].location.ToString(), "1:16");
+  EXPECT_EQ(tokens[3].text, "t\tx");
+  EXPECT_EQ(tokens[4].text, "x");
+  EXPECT_EQ(tokens[4].location.ToString(), "1:26");
+  EXPECT_EQ(tokens[5].location.ToString(), "1:27");
+}
+
+TEST(LexerTest, EscapedStringReachesTheAstDecoded) {
+  auto parsed = ParseExpressionString("\"a\\\"b\"");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed.value()->kind(), ExprKind::kConstant);
+  EXPECT_EQ(parsed.value()->AsConstant().value().string_value(), "a\"b");
+  auto plain = ParseExpressionString("\"plain\"");
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(plain.value()->AsConstant().value().string_value(), "plain");
+}
+
 TEST(LexerTest, UnterminatedStringIsError) {
-  auto tokens = Lexer::TokenizeAll("\"oops");
+  auto tokens = Lex("\"oops");
   EXPECT_EQ(tokens[0].kind, TokenKind::kError);
+  EXPECT_EQ(tokens[0].text, "unterminated string literal");
 }
 
 TEST(LexerTest, OperatorsAndPunctuation) {
@@ -73,11 +160,79 @@ TEST(LexerTest, CommentsAreSkipped) {
 }
 
 TEST(LexerTest, TracksLineAndColumn) {
-  auto tokens = Lexer::TokenizeAll("a\n  bb");
+  auto tokens = Lex("a\n  bb");
   EXPECT_EQ(tokens[0].location.line, 1);
   EXPECT_EQ(tokens[0].location.column, 1);
   EXPECT_EQ(tokens[1].location.line, 2);
   EXPECT_EQ(tokens[1].location.column, 3);
+}
+
+// Columns count bytes: a tab and a '\r' are one column each.
+TEST(LexerTest, LocationsAfterCommentsTabsAndLineEnds) {
+  EXPECT_EQ(LocationsOf("a # c\n  b // d\n\tc"),
+            (Strings{"1:1", "2:3", "3:2", "3:3"}));
+  EXPECT_EQ(LocationsOf("a\r\n  b\r\n"), (Strings{"1:1", "2:3", "3:1"}));
+  EXPECT_EQ(LocationsOf("x\n\n\n   yy zz"),
+            (Strings{"1:1", "4:4", "4:7", "4:9"}));
+  EXPECT_EQ(LocationsOf("#only\n//comments"), (Strings{"2:11"}));
+  EXPECT_EQ(LocationsOf("a\t\tb\r c"), (Strings{"1:1", "1:4", "1:7", "1:8"}));
+  EXPECT_EQ(LocationsOf("f(x)>=10"),
+            (Strings{"1:1", "1:2", "1:3", "1:4", "1:5", "1:7", "1:9"}));
+}
+
+TEST(LexerTest, EndTokenAfterTrailingBlanks) {
+  EXPECT_EQ(LocationsOf("a   "), (Strings{"1:1", "1:5"}));
+  EXPECT_EQ(LocationsOf("a\n  \t"), (Strings{"1:1", "2:4"}));
+  EXPECT_EQ(LocationsOf("a # tail"), (Strings{"1:1", "1:9"}));
+}
+
+TEST(LexerTest, EndRepeatsAtTheSameLocation) {
+  Lexer lexer("a ");
+  EXPECT_EQ(lexer.Next().kind, TokenKind::kIdentifier);
+  for (int i = 0; i < 3; ++i) {
+    Token token = lexer.Next();
+    EXPECT_EQ(token.kind, TokenKind::kEnd);
+    EXPECT_EQ(token.location.ToString(), "1:3");
+  }
+}
+
+// Each lexical error, as the two front doors report it.
+TEST(LexerTest, LexicalErrorTexts) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"abc", "unterminated string literal"},
+      {"\"ab\ncd\"", "newline in string literal"},
+      {"\"ab\\", "unterminated escape"},
+      {"\"\\q\"", "bad escape '\\q'"},
+      {"!", "stray '!'"},
+      {"@", "unexpected character '@'"},
+      {"99999999999999999999", "integer literal out of range"},
+  };
+  for (const auto& [source, message] : cases) {
+    // An escape is unterminated only at the end of the input.
+    const bool at_end = std::string_view(message) == "unterminated escape";
+    auto query = query::ParseQueryString(common::StrCat(
+        "select ", source, at_end ? "" : " from b in Broker"));
+    EXPECT_EQ(query.status().ToString(),
+              common::StrCat("parse_error: 1:8: error: expected expression, "
+                             "found lexical error (",
+                             message, ")"));
+    auto workspace = text::LoadWorkspace(common::StrCat("\n  ", source));
+    EXPECT_EQ(workspace.status().ToString(),
+              common::StrCat("parse_error: 2:3: error: expected a "
+                             "declaration, found lexical error (",
+                             message, ")"));
+  }
+  EXPECT_EQ(query::ParseQueryString("select x from b in Broker\n  @")
+                .status()
+                .ToString(),
+            "parse_error: trailing input at 2:3: lexical error "
+            "(unexpected character '@')");
+  EXPECT_EQ(text::LoadWorkspace("class A { x: int; }\r\n\tobject A { x = "
+                                "\"\\q\" }")
+                .status()
+                .ToString(),
+            "parse_error: 2:17: error: object fields take literal values "
+            "only");
 }
 
 std::string Reparse(std::string_view source,

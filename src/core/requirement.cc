@@ -41,7 +41,7 @@ bool ParseCapList(lang::TokenStream& stream, common::DiagnosticSink& sink,
       sink.Error(stream.location(), "expected capability (ti|pi|ta|pa)");
       return false;
     }
-    lang::Token token = stream.Advance();
+    const lang::Token& token = stream.Advance();
     std::optional<Capability> cap = ParseCapability(token.text);
     if (!cap.has_value()) {
       sink.Error(token.location,
@@ -78,7 +78,7 @@ std::optional<Requirement> ParseRequirement(lang::TokenStream& stream,
         sink.Error(stream.location(), "expected argument name");
         return std::nullopt;
       }
-      req.arg_names.push_back(stream.Advance().text);
+      req.arg_names.emplace_back(stream.Advance().text);
       req.arg_caps.emplace_back();
       if (!ParseCapList(stream, sink, req.arg_caps.back())) {
         return std::nullopt;

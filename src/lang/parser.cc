@@ -179,7 +179,7 @@ class ExprParser {
       // Fold -<int literal> into a constant. The literal 2^63 is held
       // as INT64_MIN already, which is what -2^63 is.
       if (stream_.Check(TokenKind::kIntLiteral)) {
-        Token token = stream_.Advance();
+        const Token& token = stream_.Advance();
         return Leaf(
             MakeInt(token.int_value < 0 ? token.int_value : -token.int_value),
             loc);
@@ -218,17 +218,15 @@ class ExprParser {
     common::SourceLocation loc = token.location;
     switch (token.kind) {
       case TokenKind::kIntLiteral: {
-        Token t = stream_.Advance();
-        if (t.int_value < 0) {  // 2^63 without a unary minus
+        const int64_t value = stream_.Advance().int_value;
+        if (value < 0) {  // 2^63 without a unary minus
           sink_.Error(loc, "integer literal out of range");
           return nullptr;
         }
-        return Leaf(MakeInt(t.int_value), loc);
+        return Leaf(MakeInt(value), loc);
       }
-      case TokenKind::kStringLiteral: {
-        Token t = stream_.Advance();
-        return Leaf(MakeString(t.text), loc);
-      }
+      case TokenKind::kStringLiteral:
+        return Leaf(MakeString(std::string(stream_.Advance().text)), loc);
       case TokenKind::kKwTrue:
         stream_.Advance();
         return Leaf(MakeBool(true), loc);
@@ -248,11 +246,13 @@ class ExprParser {
       case TokenKind::kKwLet:
         return ParseLet();
       case TokenKind::kIdentifier: {
-        Token t = stream_.Advance();
+        // An identifier's text is a slice of the source, so `name`
+        // outlives the ring slot of its token.
+        const std::string_view name = stream_.Advance().text;
         if (stream_.Check(TokenKind::kLParen)) {
-          return ParseCallArgs(t.text, loc);
+          return ParseCallArgs(name, loc);
         }
-        return Leaf(MakeVar(t.text), loc);
+        return Leaf(MakeVar(std::string(name)), loc);
       }
       default: {
         // Paper-style prefix operator call: >=(a, b), *(10, x), not(p).
@@ -268,7 +268,7 @@ class ExprParser {
     }
   }
 
-  ExprPtr ParseCallArgs(const std::string& name, common::SourceLocation loc) {
+  ExprPtr ParseCallArgs(std::string_view name, common::SourceLocation loc) {
     if (!stream_.Expect(TokenKind::kLParen, "'('", sink_)) return nullptr;
     std::vector<ExprPtr> args;
     int tallest = 0;
@@ -282,7 +282,8 @@ class ExprParser {
       }
     }
     if (!stream_.Expect(TokenKind::kRParen, "')'", sink_)) return nullptr;
-    return Over(tallest, WithLoc(MakeCall(name, std::move(args)), loc));
+    return Over(tallest,
+                WithLoc(MakeCall(std::string(name), std::move(args)), loc));
   }
 
   ExprPtr ParseLet() {
@@ -295,7 +296,7 @@ class ExprParser {
         sink_.Error(stream_.location(), "expected variable name in let");
         return nullptr;
       }
-      std::string name = stream_.Advance().text;
+      std::string name(stream_.Advance().text);
       if (!stream_.Expect(TokenKind::kAssign, "'='", sink_)) return nullptr;
       ExprPtr init = Parse();
       if (init == nullptr) return nullptr;
@@ -359,27 +360,6 @@ class ExprParser {
 };
 
 }  // namespace
-
-TokenStream::TokenStream(std::string_view source)
-    : tokens_(Lexer::TokenizeAll(source)) {}
-
-const Token& TokenStream::Peek(int ahead) const {
-  size_t index = pos_ + static_cast<size_t>(ahead);
-  if (index >= tokens_.size()) index = tokens_.size() - 1;  // kEnd
-  return tokens_[index];
-}
-
-Token TokenStream::Advance() {
-  Token token = Peek();
-  if (pos_ + 1 < tokens_.size()) ++pos_;
-  return token;
-}
-
-bool TokenStream::Match(TokenKind kind) {
-  if (!Check(kind)) return false;
-  Advance();
-  return true;
-}
 
 bool TokenStream::Expect(TokenKind kind, const char* what,
                          common::DiagnosticSink& sink) {

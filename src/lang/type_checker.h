@@ -18,6 +18,7 @@
 #define OODBSEC_LANG_TYPE_CHECKER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -57,8 +58,10 @@ class TypeChecker {
   size_t frame_size() const { return frame_size_; }
 
  private:
+  // Names are views of the parameters, locals or let bindings that
+  // bind them, which outlive the check.
   struct Scope {
-    std::string name;
+    std::string_view name;
     const types::Type* type;
   };
 

@@ -1,7 +1,7 @@
 #include "schema/schema.h"
 
-#include <functional>
 #include <set>
+#include <unordered_map>
 
 #include "common/fnv.h"
 #include "common/strings.h"
@@ -15,11 +15,24 @@ using common::Result;
 using common::Status;
 using types::Type;
 
-int ClassDef::AttributeIndex(std::string_view name) const {
+ClassDef::ClassDef(std::string name, const types::Type* type,
+                   std::vector<AttributeDef> attributes)
+    : name_(std::move(name)),
+      type_(type),
+      attributes_(std::move(attributes)) {
+  attribute_index_.reserve(attributes_.size());
+  special_params_.reserve(attributes_.size());
   for (size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i].name == name) return static_cast<int>(i);
+    // The first of duplicate names wins, as the scan it replaces did;
+    // SchemaBuilder refuses duplicates anyway.
+    attribute_index_.try_emplace(attributes_[i].name, static_cast<int>(i));
+    special_params_.push_back({type_, attributes_[i].type});
   }
-  return -1;
+}
+
+int ClassDef::AttributeIndex(std::string_view name) const {
+  auto it = attribute_index_.find(name);
+  return it == attribute_index_.end() ? -1 : it->second;
 }
 
 const AttributeDef* ClassDef::FindAttribute(std::string_view name) const {
@@ -60,7 +73,7 @@ const FunctionDecl* Schema::FindFunction(std::string_view name) const {
 
 const ClassDef* Schema::FindClassByAttribute(std::string_view attribute) const {
   auto it = attribute_index_.find(attribute);
-  return it == attribute_index_.end() ? nullptr : it->second;
+  return it == attribute_index_.end() ? nullptr : it->second.cls;
 }
 
 Callable Schema::ResolveCallable(std::string_view name) const {
@@ -68,28 +81,23 @@ Callable Schema::ResolveCallable(std::string_view name) const {
   if (const FunctionDecl* fn = FindFunction(name); fn != nullptr) {
     callable.kind = Callable::Kind::kAccess;
     callable.access = fn;
-    for (const Param& p : fn->params()) callable.param_types.push_back(p.type);
+    callable.param_types = fn->param_types();
     callable.return_type = fn->return_type();
     return callable;
   }
   bool is_read = name.size() > 2 && name.substr(0, 2) == "r_";
   bool is_write = name.size() > 2 && name.substr(0, 2) == "w_";
   if (is_read || is_write) {
-    std::string_view attribute = name.substr(2);
-    const ClassDef* cls = FindClassByAttribute(attribute);
-    if (cls != nullptr) {
-      const AttributeDef* attr = cls->FindAttribute(attribute);
+    auto it = attribute_index_.find(name.substr(2));
+    if (it != attribute_index_.end()) {
+      const auto [cls, index] = it->second;
+      const AttributeDef* attr = &cls->attributes()[static_cast<size_t>(index)];
       callable.kind =
           is_read ? Callable::Kind::kReadAttr : Callable::Kind::kWriteAttr;
       callable.cls = cls;
       callable.attribute = attr;
-      callable.param_types.push_back(cls->type());
-      if (is_read) {
-        callable.return_type = attr->type;
-      } else {
-        callable.param_types.push_back(attr->type);
-        callable.return_type = pool_->Null();
-      }
+      callable.param_types = cls->SpecialParamTypes(index, !is_read);
+      callable.return_type = is_read ? attr->type : pool_->Null();
       return callable;
     }
   }
@@ -168,38 +176,65 @@ void CollectCalledNames(const lang::Expr& expr, std::set<std::string>& names) {
   }
 }
 
-// Depth-first cycle check over the access-function call graph.
+// Depth-first cycle check over the access-function call graph. The walk
+// keeps its own stack: a chain of functions each calling the next takes
+// one frame per function, and long chains load. Roots go in declaration
+// order and callees in sorted-name order, so the first cycle found, and
+// its message, do not depend on how the walk is carried out.
 Status CheckAcyclic(const Schema& schema) {
-  enum class Mark { kWhite, kGray, kBlack };
-  std::map<const FunctionDecl*, Mark> marks;
-  std::vector<std::string> stack;
-
-  // Iterative DFS would be overkill; recursion depth is bounded by the
-  // number of functions (the graph must be a DAG to pass).
-  std::function<Status(const FunctionDecl*)> visit =
-      [&](const FunctionDecl* fn) -> Status {
-    Mark& mark = marks[fn];
-    if (mark == Mark::kBlack) return Status::Ok();
-    if (mark == Mark::kGray) {
-      return common::FailedPreconditionError(common::StrCat(
-          "recursive access functions are not allowed: cycle through '",
-          fn->name(), "' (call chain: ", common::Join(stack, " -> "), ")"));
-    }
-    mark = Mark::kGray;
-    stack.push_back(fn->name());
+  const auto& functions = schema.functions();
+  std::unordered_map<const FunctionDecl*, size_t> position;
+  position.reserve(functions.size());
+  for (size_t i = 0; i < functions.size(); ++i) {
+    position.emplace(functions[i].get(), i);
+  }
+  // The access functions `fn`'s body calls, by position, in name order.
+  auto callees_of = [&](size_t fn) {
     std::set<std::string> called;
-    CollectCalledNames(fn->body(), called);
+    CollectCalledNames(functions[fn]->body(), called);
+    std::vector<size_t> callees;
     for (const std::string& name : called) {
       const FunctionDecl* callee = schema.FindFunction(name);
-      if (callee != nullptr) OODBSEC_RETURN_IF_ERROR(visit(callee));
+      if (callee != nullptr) callees.push_back(position.at(callee));
     }
-    stack.pop_back();
-    marks[fn] = Mark::kBlack;
-    return Status::Ok();
+    return callees;
   };
 
-  for (const auto& fn : schema.functions()) {
-    OODBSEC_RETURN_IF_ERROR(visit(fn.get()));
+  enum class Mark : uint8_t { kWhite, kGray, kBlack };
+  std::vector<Mark> marks(functions.size(), Mark::kWhite);
+  struct Frame {
+    size_t fn;
+    std::vector<size_t> callees;
+    size_t next = 0;
+  };
+  std::vector<Frame> stack;
+  for (size_t root = 0; root < functions.size(); ++root) {
+    if (marks[root] != Mark::kWhite) continue;
+    marks[root] = Mark::kGray;
+    stack.push_back({root, callees_of(root)});
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      if (top.next == top.callees.size()) {
+        marks[top.fn] = Mark::kBlack;
+        stack.pop_back();
+        continue;
+      }
+      const size_t callee = top.callees[top.next++];
+      if (marks[callee] == Mark::kBlack) continue;
+      if (marks[callee] == Mark::kGray) {
+        std::vector<std::string> chain;
+        chain.reserve(stack.size());
+        for (const Frame& frame : stack) {
+          chain.push_back(functions[frame.fn]->name());
+        }
+        return common::FailedPreconditionError(common::StrCat(
+            "recursive access functions are not allowed: cycle through '",
+            functions[callee]->name(), "' (call chain: ",
+            common::Join(chain, " -> "), ")"));
+      }
+      marks[callee] = Mark::kGray;
+      stack.push_back({callee, callees_of(callee)});
+    }
   }
   return Status::Ok();
 }
@@ -268,13 +303,14 @@ Result<std::unique_ptr<Schema>> SchemaBuilder::Build() && {
     const ClassDef* cls_ptr = cls.get();
     schema->classes_.push_back(std::move(cls));
     schema->class_index_.emplace(pending.name, cls_ptr);
-    for (const AttributeDef& attr : cls_ptr->attributes()) {
-      auto [it, inserted] = schema->attribute_index_.emplace(attr.name,
-                                                             cls_ptr);
+    for (size_t i = 0; i < cls_ptr->attributes().size(); ++i) {
+      const AttributeDef& attr = cls_ptr->attributes()[i];
+      auto [it, inserted] = schema->attribute_index_.try_emplace(
+          attr.name, Schema::AttributeSite{cls_ptr, static_cast<int>(i)});
       if (!inserted) {
         return common::AlreadyExistsError(common::StrCat(
             "attribute '", attr.name, "' declared in both class '",
-            it->second->name(), "' and class '", cls_ptr->name(),
+            it->second.cls->name(), "' and class '", cls_ptr->name(),
             "'; attribute names must be schema-unique so r_/w_ specials "
             "resolve"));
       }

@@ -16,15 +16,17 @@
 #ifndef OODBSEC_SCHEMA_SCHEMA_H_
 #define OODBSEC_SCHEMA_SCHEMA_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "common/string_map.h"
 #include "exec/basic_functions.h"
 #include "lang/ast.h"
 #include "types/type.h"
@@ -39,24 +41,33 @@ struct AttributeDef {
 class ClassDef {
  public:
   ClassDef(std::string name, const types::Type* type,
-           std::vector<AttributeDef> attributes)
-      : name_(std::move(name)),
-        type_(type),
-        attributes_(std::move(attributes)) {}
+           std::vector<AttributeDef> attributes);
 
   const std::string& name() const { return name_; }
   // The class type (instances' type), interned in the schema's pool.
   const types::Type* type() const { return type_; }
   const std::vector<AttributeDef>& attributes() const { return attributes_; }
 
-  // Index of `name` in attributes(), or -1.
+  // Index of `name` in attributes(), or -1. Hashed: a class may carry
+  // hundreds of attributes, and objects are read and written by
+  // attribute name (store::Database).
   int AttributeIndex(std::string_view name) const;
   const AttributeDef* FindAttribute(std::string_view name) const;
+
+  // The parameter types of attribute `index`'s specials: r_<att> takes
+  // the first (the class), w_<att> both (the class, the attribute).
+  std::span<const types::Type* const> SpecialParamTypes(int index,
+                                                        bool write) const {
+    return {special_params_[static_cast<size_t>(index)].data(),
+            write ? size_t{2} : size_t{1}};
+  }
 
  private:
   std::string name_;
   const types::Type* type_;
   std::vector<AttributeDef> attributes_;
+  common::StringMap<int> attribute_index_;
+  std::vector<std::array<const types::Type*, 2>> special_params_;
 };
 
 struct Param {
@@ -73,10 +84,17 @@ class FunctionDecl {
       : name_(std::move(name)),
         params_(std::move(params)),
         return_type_(return_type),
-        body_(std::move(body)) {}
+        body_(std::move(body)) {
+    param_types_.reserve(params_.size());
+    for (const Param& param : params_) param_types_.push_back(param.type);
+  }
 
   const std::string& name() const { return name_; }
   const std::vector<Param>& params() const { return params_; }
+  // The type of each parameter, in order.
+  const std::vector<const types::Type*>& param_types() const {
+    return param_types_;
+  }
   const types::Type* return_type() const { return return_type_; }
   const lang::Expr& body() const { return *body_; }
   lang::Expr& mutable_body() { return *body_; }
@@ -94,6 +112,7 @@ class FunctionDecl {
  private:
   std::string name_;
   std::vector<Param> params_;
+  std::vector<const types::Type*> param_types_;
   const types::Type* return_type_;
   std::unique_ptr<lang::Expr> body_;
   size_t frame_size_ = 0;
@@ -101,6 +120,8 @@ class FunctionDecl {
 
 // The result of resolving a callable name: an access function, a special
 // read/write, or nothing. Uniform signature accessors cover all kinds.
+// Resolving allocates nothing: the parameter types are a view of the
+// schema's own, valid while the schema lives.
 struct Callable {
   enum class Kind { kNone, kAccess, kReadAttr, kWriteAttr };
 
@@ -109,7 +130,7 @@ struct Callable {
   const ClassDef* cls = nullptr;          // kReadAttr / kWriteAttr
   const AttributeDef* attribute = nullptr;
 
-  std::vector<const types::Type*> param_types;
+  std::span<const types::Type* const> param_types;
   const types::Type* return_type = nullptr;
 
   bool ok() const { return kind != Kind::kNone; }
@@ -169,9 +190,15 @@ class Schema {
   std::vector<std::unique_ptr<ClassDef>> classes_;
   std::vector<std::unique_ptr<FunctionDecl>> functions_;
   std::vector<const FunctionDecl*> constraints_;
-  std::map<std::string, const ClassDef*, std::less<>> class_index_;
-  std::map<std::string, const FunctionDecl*, std::less<>> function_index_;
-  std::map<std::string, const ClassDef*, std::less<>> attribute_index_;
+  // Name lookups only: nothing iterates these (the fingerprint and the
+  // dump walk classes() and functions(), in declaration order).
+  common::StringMap<const ClassDef*> class_index_;
+  common::StringMap<const FunctionDecl*> function_index_;
+  struct AttributeSite {
+    const ClassDef* cls;
+    int index;  // in cls->attributes()
+  };
+  common::StringMap<AttributeSite> attribute_index_;
   uint64_t fingerprint_ = 0;
 };
 

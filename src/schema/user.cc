@@ -4,11 +4,29 @@
 
 namespace oodbsec::schema {
 
-common::Status UserRegistry::AddUser(std::string name) {
-  auto [it, inserted] = users_.emplace(name, User(name));
+namespace {
+
+common::Status UnresolvedGrant(std::string_view function_name) {
+  return common::NotFoundError(common::StrCat(
+      "cannot grant '", function_name, "': no such access function or "
+      "special function"));
+}
+
+}  // namespace
+
+common::Status UserRegistry::AddUser(std::string name,
+                                     std::vector<std::string> grants) {
+  auto [it, inserted] = users_.try_emplace(name, name);
   if (!inserted) {
     return common::AlreadyExistsError(
         common::StrCat("duplicate user '", name, "'"));
+  }
+  for (std::string& grant : grants) {
+    if (!schema_.ResolveCallable(grant).ok()) {
+      return UnresolvedGrant(grant).WithContext(
+          common::StrCat("granting to '", name, "'"));
+    }
+    it->second.Grant(std::move(grant));
   }
   return common::Status::Ok();
 }
@@ -20,9 +38,7 @@ common::Status UserRegistry::Grant(std::string_view user,
     return common::NotFoundError(common::StrCat("unknown user '", user, "'"));
   }
   if (!schema_.ResolveCallable(function_name).ok()) {
-    return common::NotFoundError(common::StrCat(
-        "cannot grant '", function_name, "': no such access function or "
-        "special function"));
+    return UnresolvedGrant(function_name);
   }
   it->second.Grant(std::move(function_name));
   return common::Status::Ok();

@@ -44,8 +44,12 @@ class UserRegistry {
  public:
   explicit UserRegistry(const Schema& schema) : schema_(schema) {}
 
-  // Creates a user; fails on duplicates.
-  common::Status AddUser(std::string name);
+  // Creates a user holding `grants`, in one lookup. Fails on a
+  // duplicate name, or at the first grant that resolves to nothing in
+  // the schema; that error reads as Grant's, in the context "granting
+  // to '<name>'", and the user keeps the grants before it.
+  common::Status AddUser(std::string name,
+                         std::vector<std::string> grants = {});
 
   // Grants `function_name` to `user`; fails if either is unknown or the
   // name resolves to nothing in the schema.

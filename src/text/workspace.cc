@@ -74,7 +74,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
         sink.Error(stream.location(), "expected class name");
         return sink.ToStatus();
       }
-      std::string name = stream.Advance().text;
+      std::string name(stream.Advance().text);
       if (!stream.Expect(TokenKind::kLBrace, "'{'", sink)) {
         return sink.ToStatus();
       }
@@ -84,7 +84,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
           sink.Error(stream.location(), "expected attribute name");
           return sink.ToStatus();
         }
-        std::string attr = stream.Advance().text;
+        std::string attr(stream.Advance().text);
         if (!stream.Expect(TokenKind::kColon, "':'", sink)) {
           return sink.ToStatus();
         }
@@ -110,7 +110,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
         sink.Error(stream.location(), "expected function name");
         return sink.ToStatus();
       }
-      std::string name = stream.Advance().text;
+      std::string name(stream.Advance().text);
       if (is_constraint) builder.MarkConstraint(name);
       if (!stream.Expect(TokenKind::kLParen, "'('", sink)) {
         return sink.ToStatus();
@@ -122,7 +122,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
             sink.Error(stream.location(), "expected parameter name");
             return sink.ToStatus();
           }
-          std::string param = stream.Advance().text;
+          std::string param(stream.Advance().text);
           if (!stream.Expect(TokenKind::kColon, "':'", sink)) {
             return sink.ToStatus();
           }
@@ -168,7 +168,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
           sink.Error(stream.location(), "expected function name in grant");
           return sink.ToStatus();
         }
-        user.grants.push_back(stream.Advance().text);
+        user.grants.emplace_back(stream.Advance().text);
         if (!stream.Match(TokenKind::kComma)) break;
       }
       if (!stream.Expect(TokenKind::kSemicolon, "';'", sink)) {
@@ -205,7 +205,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
           sink.Error(stream.location(), "expected attribute name");
           return sink.ToStatus();
         }
-        std::string attr = stream.Advance().text;
+        std::string attr(stream.Advance().text);
         if (!stream.Expect(TokenKind::kAssign, "'='", sink)) {
           return sink.ToStatus();
         }
@@ -232,7 +232,7 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
             break;
           }
           case TokenKind::kStringLiteral:
-            value = types::Value::String(token.text);
+            value = types::Value::String(std::string(token.text));
             break;
           case TokenKind::kKwTrue:
             value = types::Value::Bool(true);
@@ -269,13 +269,9 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
   OODBSEC_ASSIGN_OR_RETURN(workspace.schema, std::move(builder).Build());
   workspace.users =
       std::make_unique<schema::UserRegistry>(*workspace.schema);
-  for (const PendingUser& user : users) {
-    OODBSEC_RETURN_IF_ERROR(workspace.users->AddUser(user.name));
-    for (const std::string& grant : user.grants) {
-      OODBSEC_RETURN_IF_ERROR(
-          workspace.users->Grant(user.name, grant)
-              .WithContext(common::StrCat("granting to '", user.name, "'")));
-    }
+  for (PendingUser& user : users) {
+    OODBSEC_RETURN_IF_ERROR(workspace.users->AddUser(std::move(user.name),
+                                                     std::move(user.grants)));
   }
   for (const core::Requirement& req : requirements) {
     if (workspace.users->Find(req.user) == nullptr) {
@@ -298,10 +294,11 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
           "object at ", object.location.ToString()));
     }
     for (const auto& [attr, value] : object.fields) {
-      OODBSEC_RETURN_IF_ERROR(
-          workspace.database->WriteAttribute(*oid, attr, value)
-              .WithContext(common::StrCat("object at ",
-                                          object.location.ToString())));
+      Status written = workspace.database->WriteAttribute(*oid, attr, value);
+      if (!written.ok()) {
+        return written.WithContext(
+            common::StrCat("object at ", object.location.ToString()));
+      }
     }
   }
   return workspace;

@@ -119,30 +119,6 @@ void BM_ScaledBrokerClosure(benchmark::State& state) {
 BENCHMARK(BM_ScaledBrokerClosure)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep over the parallel fixpoint engine on the largest scaled
-// shape (scale 16, BM_ScaledBrokerClosure's heaviest case). Arg is
-// closure_threads; Arg(1) is the sequential engine and doubles as the
-// regression guard for the single-threaded path. The derivation log is
-// byte-identical at every point of the sweep (tests/
-// parallel_closure_test.cc), so this measures pure engine speedup.
-void BM_ParallelClosure(benchmark::State& state) {
-  ScaledWorkload workload = MakeScaledBroker(16);
-  auto set = unfold::UnfoldedSet::Build(*workload.schema, workload.roots);
-  if (!set.ok()) std::abort();
-  core::ClosureOptions options;
-  options.closure_threads = static_cast<int>(state.range(0));
-  size_t facts = 0;
-  for (auto _ : state) {
-    core::Closure closure(*set.value(), options);
-    facts = closure.fact_count();
-    benchmark::DoNotOptimize(facts);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["facts"] = static_cast<double>(facts);
-}
-BENCHMARK(BM_ParallelClosure)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // Warm-start reuse: the request's capability list shares all but one
 // department with an already-closed base (at scale 8 the base covers
 // 29/33 roots, ~88%). The base closure is built once outside the timed

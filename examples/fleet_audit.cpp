@@ -81,19 +81,13 @@ struct Role {
 
 int main(int argc, char** argv) {
   bool use_tcp = false;
-  int closure_threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--transport=tcp") == 0) {
       use_tcp = true;
     } else if (std::strcmp(argv[i], "--transport=fork") == 0) {
       use_tcp = false;
-    } else if (std::strncmp(argv[i], "--closure-threads=", 18) == 0) {
-      closure_threads = std::atoi(argv[i] + 18);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--transport=fork|tcp]"
-                   " [--closure-threads=N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--transport=fork|tcp]\n", argv[0]);
       return 2;
     }
   }
@@ -146,12 +140,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --closure-threads=N parallelizes every fixpoint the fleet builds
-  // (workers, batch service, TCP fleet alike); the reports stay byte
-  // identical because the engine's derivation logs do (0 = auto).
   service::ShardOptions shard_options;
   shard_options.shard_count = 4;
-  shard_options.closure.closure_threads = closure_threads;
   shard_options.snapshot_store = store.value();
   shard_options.save_snapshots = true;
   auto sharded = service::RunShardedBatch(*workspace.schema, *workspace.users,
@@ -169,7 +159,6 @@ int main(int argc, char** argv) {
   {
     core::SessionOptions options;
     options.threads = 4;
-    options.closure.closure_threads = closure_threads;
     core::AnalysisSession session(*workspace.schema, *workspace.users,
                                   options);
     service::AnalysisService svc(session);
@@ -292,10 +281,8 @@ int main(int argc, char** argv) {
           common::StrCat("127.0.0.1:", listeners.back()->port()));
       net::Listener* listener = listeners.back().get();
       const schema::Schema* schema = workspace.schema.get();
-      worker_threads.emplace_back([listener, schema, &stop,
-                                   closure_threads] {
+      worker_threads.emplace_back([listener, schema, &stop] {
         service::TcpWorkerOptions worker_options;
-        worker_options.closure.closure_threads = closure_threads;
         auto status =
             service::ServeShardWorker(*listener, *schema, worker_options,
                                       &stop);
@@ -306,7 +293,6 @@ int main(int argc, char** argv) {
       });
     }
 
-    tcp_options.closure.closure_threads = closure_threads;
     tcp_options.snapshot_store = store.value();
     service::TcpTransport transport(tcp_options);
     auto tcp_run = transport.Run(*workspace.schema, *workspace.users, sheet,

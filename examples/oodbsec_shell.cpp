@@ -24,8 +24,6 @@
 //                              grants, without grant/revoke edits
 //   serve <port>               become a shard worker: serve batches on
 //                              <port> until the process is killed
-//   fixpoint [threads]         parallel closure fixpoint (0 = auto,
-//                              1 = sequential; prints current if omitted)
 //   snapshot pack <path>       arm the tier over a packed segment file
 //   snapshot save              persist cached closures to the store
 //   snapshot load              warm the cache from the store
@@ -73,16 +71,19 @@ namespace {
 
 using namespace oodbsec;
 
+// The largest worker count `batch` and `shard` accept: each unit is a
+// pool thread or a forked process, so the count is capped before
+// anything is sized by it.
+constexpr int kMaxCount = 64;
+
 // The optional worker count of `batch` and `shard`: 4 when `token` is
-// empty, nullopt unless it is a whole number in 1..kMaxClosureThreads
-// (each unit is a pool thread or a forked process).
+// empty, nullopt unless it is a whole number in 1..kMaxCount.
 std::optional<int> ParseCount(const std::string& token) {
   if (token.empty()) return 4;
   int count = 0;
   const char* end = token.data() + token.size();
   auto [ptr, ec] = std::from_chars(token.data(), end, count);
-  if (ec != std::errc() || ptr != end || count < 1 ||
-      count > core::kMaxClosureThreads) {
+  if (ec != std::errc() || ptr != end || count < 1 || count > kMaxCount) {
     return std::nullopt;
   }
   return count;
@@ -129,7 +130,7 @@ class Shell {
       if (std::optional<int> threads = ParseCount(count)) {
         Batch(*threads);
       } else {
-        std::printf("usage: batch [1..%d]\n", core::kMaxClosureThreads);
+        std::printf("usage: batch [1..%d]\n", kMaxCount);
       }
     } else if (command == "shard") {
       std::string first;
@@ -143,12 +144,8 @@ class Shell {
         Shard(*shards);
       } else {
         std::printf("usage: shard [1..%d] | shard tcp <host:port> ...\n",
-                    core::kMaxClosureThreads);
+                    kMaxCount);
       }
-    } else if (command == "fixpoint") {
-      int threads = -1;
-      in >> threads;
-      Fixpoint(threads);
     } else if (command == "serve") {
       int port = 0;
       in >> port;
@@ -209,11 +206,6 @@ class Shell {
         "                                  shard audits the loaded grants,\n"
         "                                  not grant/revoke edits\n"
         "  serve <port>                    become a shard worker on <port>\n"
-        "  fixpoint [threads]              parallel closure fixpoint (0 ="
-        " auto,\n"
-        "                                  1 = sequential; prints current"
-        " when\n"
-        "                                  omitted)\n"
         "  snapshot pack <path>            arm the tier over a packed"
         " segment file\n"
         "  snapshot save                   persist cached closures\n"
@@ -485,26 +477,6 @@ class Shell {
     guard_ = std::make_unique<dynamic::SessionGuard>(
         *workspace_.schema, *workspace_.users, workspace_.requirements,
         options);
-  }
-
-  // Rebuilds the session with `threads` fixpoint workers per closure
-  // build (0 = auto-detect cores, 1 = sequential). Derivation logs are
-  // byte-identical at every setting, so the swap only changes build
-  // speed; the caches restart because the session does.
-  void Fixpoint(int threads) {
-    if (threads < 0) {
-      std::printf("fixpoint threads: %d\n",
-                  session_->closure_options().closure_threads);
-      return;
-    }
-    service_.reset();
-    core::SessionOptions options = session_->options();
-    options.closure.closure_threads = threads;
-    session_ = std::make_unique<core::AnalysisSession>(
-        *workspace_.schema, *workspace_.users, options);
-    RebuildGuard();
-    std::printf("closure fixpoint threads = %d%s\n", threads,
-                threads == 0 ? " (auto)" : "");
   }
 
   // Rebuilds the session with `store` armed as the L2 tier. The store

@@ -36,14 +36,12 @@ namespace oodbsec::core {
 
 struct SessionOptions {
   // Fixpoint semantics; flows into every closure the session builds and
-  // into the service layer's cache keys. closure.closure_threads
-  // additionally parallelises each build's fixpoint rounds (0 = auto);
-  // it never changes the derivation log, so it is excluded from cache
-  // keys and snapshot fingerprints.
+  // into the service layer's cache keys (closure.closure_threads is
+  // ignored, and excluded from cache keys and snapshot fingerprints).
   ClosureOptions closure;
   // Worker threads for layers that parallelise *across* closures
-  // (service::AnalysisService reads this as its pool size); independent
-  // of closure.closure_threads, which parallelises *inside* one build.
+  // (service::AnalysisService reads this as its pool size); each
+  // closure build runs on the one thread that starts it.
   int threads = 1;
   // Arms the tracer from construction. Metrics are always collected —
   // they are counters folded into reports and stats — while span

@@ -1,6 +1,6 @@
-// A small work-stealing thread pool, shared by the batch analysis
-// service (one long-lived pool per service) and the closure engine (one
-// short-lived crew per Closure::Run when closure_threads > 1).
+// A small work-stealing thread pool: the batch analysis service runs
+// one long-lived pool per service, whose tasks build closures and check
+// requirements.
 //
 // Design notes. Each worker owns a deque: it pops its own work LIFO
 // (the task it just produced is the one whose data is still hot) and
@@ -53,9 +53,7 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   // Blocks until every submitted task has finished executing. Only the
-  // owning thread may call this — which may itself be a worker of a
-  // *different* pool (a closure build running on a service worker owns
-  // its round crew and waits on it), but never a worker of this one.
+  // owning thread may call this, never a worker of this pool.
   void Wait();
 
   int thread_count() const { return static_cast<int>(workers_.size()); }

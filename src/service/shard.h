@@ -68,9 +68,8 @@ struct ShardOptions {
   // Threads per worker process. Each worker serves its batches on one
   // thread; any value but 1 is InvalidArgument.
   int threads = 1;
-  // Fixpoint semantics, forwarded to every worker.
-  // closure.closure_threads parallelises each fixpoint inside a worker
-  // (reports stay byte-identical; it is not part of any cache key).
+  // Fixpoint semantics, forwarded to every worker (closure.closure_threads
+  // is ignored and part of no cache key).
   core::ClosureOptions closure;
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
   // Workers persist every closure they build through the store server.

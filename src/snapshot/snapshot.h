@@ -93,7 +93,7 @@ uint64_t SnapshotKeyHash(const core::ClosureOptions& options,
 //
 // Cost: O(1). The schema part is schema.fingerprint(), hashed once when
 // the schema was built; this only mixes in "options" and the five
-// option bits (closure_threads is not one of them). Every Find, Save,
+// option bits (not the ignored closure_threads). Every Find, Save,
 // record encode and decode, and hello may call it freely.
 uint64_t SchemaFingerprint(const schema::Schema& schema,
                            const core::ClosureOptions& options);

@@ -222,7 +222,9 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
           case TokenKind::kMinus: {
             stream.Advance();
             if (!stream.Check(TokenKind::kIntLiteral)) {
-              sink.Error(stream.location(), "expected integer after '-'");
+              sink.Error(stream.location(),
+                         common::StrCat("expected integer after '-', found ",
+                                        DescribeToken(stream.Peek())));
               return sink.ToStatus();
             }
             // FormatWorkspace prints INT64_MIN as -2^63, and the literal
@@ -245,7 +247,9 @@ Result<Workspace> LoadWorkspace(std::string_view source) {
             break;
           default:
             sink.Error(token.location,
-                       "object fields take literal values only");
+                       common::StrCat(
+                           "object fields take literal values only, found ",
+                           DescribeToken(token)));
             return sink.ToStatus();
         }
         stream.Advance();

@@ -227,12 +227,26 @@ TEST(LexerTest, LexicalErrorTexts) {
                 .ToString(),
             "parse_error: trailing input at 2:3: lexical error "
             "(unexpected character '@')");
+  // An object field names the token it refused, a lexical error's
+  // message included.
   EXPECT_EQ(text::LoadWorkspace("class A { x: int; }\r\n\tobject A { x = "
                                 "\"\\q\" }")
                 .status()
                 .ToString(),
             "parse_error: 2:17: error: object fields take literal values "
-            "only");
+            "only, found lexical error (bad escape '\\q')");
+  EXPECT_EQ(text::LoadWorkspace("class A { x: int; }\r\n\tobject A { x = "
+                                "-99999999999999999999 }")
+                .status()
+                .ToString(),
+            "parse_error: 2:18: error: expected integer after '-', found "
+            "lexical error (integer literal out of range)");
+  EXPECT_EQ(text::LoadWorkspace("class A { x: int; }\r\n\tobject A { x = "
+                                "y }")
+                .status()
+                .ToString(),
+            "parse_error: 2:17: error: object fields take literal values "
+            "only, found identifier 'y'");
 }
 
 std::string Reparse(std::string_view source,

@@ -18,8 +18,9 @@
 // department bundles whose write-read rule keeps the fixpoint firing —
 // the bench_snapshot fleet shape). Both run cache-less workers
 // (persistent_cache off — every connection starts empty); the warmed
-// fleet mounts the coordinator's pre-populated store over the wire and
-// replays derivation logs instead of re-running fixpoints.
+// fleet reaches the coordinator's pre-populated store over its shard
+// connections and replays derivation logs instead of re-running
+// fixpoints.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

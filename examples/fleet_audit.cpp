@@ -13,8 +13,8 @@
 // capability signature, reports merged byte-identical to the
 // single-process batch. The first sharded run persists every closure
 // it builds into a packed snapshot store (one segment file; the
-// workers save through the coordinator's store server, its single
-// writer). Then the fleet is "killed": the store object is dropped and
+// workers save over their shard connections, and the coordinator is
+// its single writer). Then the fleet is "killed": the store object is dropped and
 // the pack reopened cold, and a second sharded run rebuilds nothing —
 // every signature replays from the segment.
 //
@@ -22,9 +22,10 @@
 // passes (which need the single-threaded image) a loopback TCP fleet is
 // started in-process — worker threads with no local state — and the
 // coordinator streams the same sheet over sockets while serving its
-// packed store over the wire. The workers warm entirely from the networked snapshot
-// tier (three remote hits, zero builds) and the merged report is
-// asserted byte-identical to fork, batch, and the sequential analyzer.
+// packed store over the same connections. The workers warm entirely
+// from the networked snapshot tier (three remote hits, zero builds) and
+// the merged report is asserted byte-identical to fork, batch, and the
+// sequential analyzer.
 //
 //   $ ./fleet_audit                    # fork transport only
 //   $ ./fleet_audit --transport=tcp    # ... plus the TCP loopback fleet
@@ -260,7 +261,7 @@ int main(int argc, char** argv) {
 
   // --transport=tcp: the networked fleet. Every fork has happened by
   // now, so worker threads are safe to start. Two loopback workers with
-  // no local state mount the coordinator's pack over the wire; the
+  // no local state reach the coordinator's pack over the wire; the
   // stream must warm every role remotely and still render the exact
   // bytes the fork transport, the batch service, and the sequential
   // analyzer all agreed on.

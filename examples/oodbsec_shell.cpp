@@ -441,8 +441,8 @@ class Shell {
   // Turns this shell into a shard worker: serves batches from TCP
   // coordinators (the `shard tcp` command in another shell) until the
   // process is killed. The armed snapshot store (if any) becomes the
-  // worker's local L2; otherwise the coordinator's store is mounted
-  // over the wire when one is advertised.
+  // worker's local L2; otherwise a coordinator's store, when its hello
+  // offers one, is reached over that coordinator's connection.
   void Serve(int port) {
     if (port <= 0 || port > 65535) {
       std::printf("usage: serve <port>\n");

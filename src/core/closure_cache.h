@@ -33,7 +33,8 @@
 //
 // Snapshot tier (L2): when constructed with a snapshot::SnapshotStore,
 // the cache persists entries through it (a packed segment file, or the
-// coordinator's store over the wire — see snapshot/snapshot_store.h)
+// coordinator's store over a shard connection — see
+// snapshot/snapshot_store.h)
 // and consults it
 // between the exact-hit check and the build path:
 //
@@ -45,9 +46,9 @@
 // records (truncated, wrong schema fingerprint, wrong format version,
 // corrupt) are counted and fall back to a build; they are never an
 // error. Several caches may share one store, and shard workers reach
-// the coordinator's through a StoreServer: loads validate before
-// trusting, so the store doubles as the cross-process cache the shard
-// workers warm from.
+// the coordinator's over their shard connections: loads validate
+// before trusting, so the store doubles as the cross-process cache the
+// shard workers warm from.
 //
 // Thread-safety: like the service layer, the cache is a single-caller
 // object — Find*/GetOrBuild/Insert must not race. BuildDetached is the

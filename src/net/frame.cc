@@ -11,6 +11,30 @@
 
 namespace oodbsec::net {
 
+namespace {
+
+bool KnownType(uint8_t raw) {
+  switch (static_cast<FrameType>(raw)) {
+    case FrameType::kHello:
+    case FrameType::kHelloAck:
+    case FrameType::kBatch:
+    case FrameType::kReports:
+    case FrameType::kBatchError:
+    case FrameType::kDone:
+    case FrameType::kStats:
+    case FrameType::kStoreFind:
+    case FrameType::kStoreFound:
+    case FrameType::kStoreMiss:
+    case FrameType::kStoreFail:
+    case FrameType::kStoreSave:
+    case FrameType::kStoreSaveAck:
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 std::string EncodeFrameHeader(FrameType type, std::string_view payload) {
   snapshot::ByteWriter header;
   header.PutU32(kFrameMagic);
@@ -58,8 +82,7 @@ common::Status DecodeFrameHeader(std::string_view header, FrameType* type,
   if (!reader.ok()) {
     return common::FailedPreconditionError("frame: short header");
   }
-  if (raw_type < static_cast<uint8_t>(FrameType::kHello) ||
-      raw_type > static_cast<uint8_t>(FrameType::kStoreStatsReply)) {
+  if (!KnownType(raw_type)) {
     return common::FailedPreconditionError(
         common::StrCat("frame: unknown type ", raw_type));
   }

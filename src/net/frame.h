@@ -1,5 +1,5 @@
-// Length-prefixed binio frames: the unit of the shard and snapshot-store
-// wire protocols.
+// Length-prefixed binio frames: the unit of the shard wire protocol,
+// whose connection also carries the snapshot store's find and save.
 //
 // A frame is a fixed 20-byte header followed by a binio payload:
 //
@@ -8,15 +8,15 @@
 //
 // Integers are host-endian, like every other encoding the repository
 // owns (snapshot records included): a connection between machines of
-// different endianness is *detected* at the hello handshake (each side
-// sends snapshot::kByteOrderMark) and refused with a specific diagnosis
-// rather than mis-decoded. The snapshot record inside a store frame
+// different endianness is *detected* at the hello handshake (the
+// coordinator sends snapshot::kByteOrderMark) and refused with a
+// specific diagnosis rather than mis-decoded. The snapshot record inside a store frame
 // carries its own marker and is refused the same way.
 //
 // Robustness contract (the torn-frame / garbage-prefix tests in
 // net_test pin this): a reader never trusts a byte it has not
-// validated. Bad magic, an oversized length, a checksum mismatch, or
-// EOF mid-frame all fail with kFailedPrecondition naming the defect;
+// validated. Bad magic, an unknown type, an oversized length, a
+// checksum mismatch, or EOF mid-frame all fail with kFailedPrecondition naming the defect;
 // only a clean EOF *between* frames reports kNotFound ("connection
 // closed"), which is how a peer's orderly shutdown is told apart from a
 // death mid-message.
@@ -37,10 +37,13 @@
 
 namespace oodbsec::net {
 
-// Protocol version spoken by TcpTransport / ServeShardWorker /
-// StoreServer; carried in every hello and bumped on any frame-layout or
-// payload-schema change. v2: store frames carry v3 snapshot records.
-inline constexpr uint32_t kProtocolVersion = 2;
+// Protocol version spoken by TcpTransport and ServeShardWorker; carried
+// in every hello and bumped on any frame-layout or payload-schema
+// change. v3: the store's find and save ride the shard connection, and
+// the hello's u32 store port became a u8 "serves store frames" flag.
+// The snapshot records inside store frames carry their own format
+// version (snapshot/snapshot.h).
+inline constexpr uint32_t kProtocolVersion = 3;
 
 inline constexpr uint32_t kFrameMagic = 0x314f4e46;  // "FNO1" LE spells ONF1
 // Upper bound a reader will allocate for one payload; a length above it
@@ -57,17 +60,14 @@ enum class FrameType : uint8_t {
   kBatchError = 5,  // worker -> coord: earliest failure in the batch
   kDone = 6,        // coord -> worker: no more batches
   kStats = 7,       // worker -> coord: final ServiceStats, then close
-  // Snapshot-store protocol (remote store <-> store server).
-  kStoreHello = 8,       // client -> server: version, byte order, fingerprint
-  kStoreHelloAck = 9,    // server -> client
-  kStoreFind = 10,       // client -> server: roots
-  kStoreFound = 11,      // server -> client: encoded snapshot bytes
-  kStoreMiss = 12,       // server -> client: no record for the signature
-  kStoreFail = 13,       // server -> client: status code + message
-  kStoreSave = 14,       // client -> server: encoded snapshot bytes
-  kStoreSaveAck = 15,    // server -> client: status code + message
-  kStoreStats = 16,      // client -> server
-  kStoreStatsReply = 17, // server -> client: StoreStats fields
+  // The coordinator's snapshot store, on the same connection when the
+  // hello offered it. 8, 9, 16 and 17 are retired and read as unknown.
+  kStoreFind = 10,     // worker -> coord: roots
+  kStoreFound = 11,    // coord -> worker: one snapshot record
+  kStoreMiss = 12,     // coord -> worker: no record for the signature
+  kStoreFail = 13,     // coord -> worker: status code + message
+  kStoreSave = 14,     // worker -> coord: one snapshot record
+  kStoreSaveAck = 15,  // coord -> worker: status code + message
 };
 
 struct Frame {

@@ -84,21 +84,16 @@ common::Result<ShardedBatchResult> RunShardedBatch(
 
   common::Result<ShardedBatchResult> result =
       common::InternalError("shard: fork() failed");
-  {
+  if (children.size() == static_cast<size_t>(options.shard_count)) {
     tcp.closure = options.closure;
     tcp.snapshot_store = options.snapshot_store;
     tcp.save_snapshots = options.save_snapshots;
-    TcpTransport transport(std::move(tcp));
-    if (children.size() == static_cast<size_t>(options.shard_count)) {
-      result = transport.Run(schema, users, requirements, obs);
-    }
-    // Kill the children before the transport (and its store server)
-    // goes: their store connections then close at once instead of
-    // holding the server's shutdown up.
-    for (pid_t pid : children) ::kill(pid, SIGKILL);
-    for (pid_t pid : children) {
-      while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
-      }
+    result = TcpTransport(std::move(tcp)).Run(schema, users, requirements,
+                                              obs);
+  }
+  for (pid_t pid : children) ::kill(pid, SIGKILL);
+  for (pid_t pid : children) {
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
     }
   }
   return result;

@@ -20,9 +20,10 @@
 // worker loop, and one recovery story: a child that dies mid-audit has
 // its batches re-queued to the survivors like any TCP worker's, and the
 // audit fails only when every child died. Children hold no store of
-// their own; when a snapshot store is configured they mount it through
-// the transport's StoreServer, which is the store's single writer — a
-// fleet restart replays persisted derivation logs instead of re-running
+// their own; when a snapshot store is configured they find and save
+// through store frames on their shard connections, which the
+// coordinator answers, so it is the store's single writer — a fleet
+// restart replays persisted derivation logs instead of re-running
 // fixpoints, and with save_snapshots set, workers persist what they
 // built, warming the next run.
 //
@@ -35,9 +36,9 @@
 // requirement in input order would have produced, exactly as
 // CheckBatch reports it.
 //
-// Lifecycle: every child is killed and reaped, and the store server
-// stopped, before RunShardedBatch returns — on every path — so the
-// caller is single-threaded again afterwards. Children also die with
+// Lifecycle: every child is killed and reaped before RunShardedBatch
+// returns — on every path — and the coordinator starts no thread, so
+// the caller is single-threaded again afterwards. Children also die with
 // the coordinator (PR_SET_PDEATHSIG). fork() is only safe from a
 // single-threaded process image: call RunShardedBatch before spinning
 // up thread pools.
@@ -72,7 +73,7 @@ struct ShardOptions {
   // is ignored and part of no cache key).
   core::ClosureOptions closure;
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
-  // Workers persist every closure they build through the store server.
+  // Workers persist every closure they build into snapshot_store.
   bool save_snapshots = false;
   // The coordinator's snapshot store, served to every worker as its L2
   // closure tier (see snapshot/snapshot_store.h).

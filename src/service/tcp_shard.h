@@ -53,13 +53,15 @@
 // so its counters are missing from merged_stats; the reports are the
 // contract.)
 //
-// The networked snapshot tier: with serve_snapshot_store set and a
-// store configured, the coordinator fronts its store with a
-// snapshot::StoreServer and advertises the port in its hello; workers
-// without a local store mount it as a RemoteSnapshotStore, so a fresh
-// fleet warms from the coordinator's packed segment without any file
-// distribution, and (save_snapshots) persists what it builds back —
-// the server being the store's single writer.
+// The networked snapshot tier: with a store configured, the
+// coordinator's hello offers it, and a worker without a store of its
+// own finds and saves through kStore* frames on the same connection,
+// which the coordinator answers from its poll loop. A fresh fleet thus
+// warms from the coordinator's packed segment without any file
+// distribution, and (save_snapshots) persists what it builds back, the
+// coordinator being the store's single writer. Both ends validate each
+// record (DecodeEntry), and the worker also refuses a record whose
+// roots are not the ones it asked for.
 #ifndef OODBSEC_SERVICE_TCP_SHARD_H_
 #define OODBSEC_SERVICE_TCP_SHARD_H_
 
@@ -78,7 +80,6 @@
 #include "schema/schema.h"
 #include "schema/user.h"
 #include "service/shard.h"
-#include "snapshot/remote_store.h"
 #include "snapshot/snapshot_store.h"
 
 namespace oodbsec::service {
@@ -96,27 +97,21 @@ struct TcpTransportOptions {
   // progress for this long is declared dead and its batches re-queued.
   int io_timeout_ms = 30000;
   net::DialOptions dial;
-  // Coordinator-side snapshot store. With serve_snapshot_store, Run
-  // fronts it with a StoreServer (ephemeral loopback port, advertised
-  // in the hello) for workers to mount remotely.
+  // Coordinator-side snapshot store, offered in the hello and served
+  // to workers over their shard connections.
   std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
-  bool serve_snapshot_store = true;
-  // Ask workers to persist closures they build (through their mounted
-  // store — for remote mounts the bytes land in the coordinator's
-  // store via kStoreSave).
+  // Ask workers to persist closures they build (into their own store,
+  // or via kStoreSave into the coordinator's).
   bool save_snapshots = false;
 };
 
 // The TCP coordinator. Every transport owes the determinism contract
 // of service/shard.h — reports byte-identical to single-process
 // CheckBatch, earliest-failure error parity — which is what the
-// transport parity tests pin. Uses threads (the store server) until
-// destroyed; run fork transports while none is alive (fork() wants a
-// single-threaded image).
+// transport parity tests pin. Run starts no thread, store or no store.
 class TcpTransport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
-  ~TcpTransport();
 
   common::Result<ShardedBatchResult> Run(
       const schema::Schema& schema, const schema::UserRegistry& users,
@@ -125,24 +120,17 @@ class TcpTransport {
 
  private:
   TcpTransportOptions options_;
-  snapshot::StoreServer store_server_;
-  // The store server binds lazily on first Run (it needs the schema)
-  // and stays up across runs; the fingerprint it pins is the first
-  // run's schema.
-  bool store_server_started_ = false;
 };
 
 struct TcpWorkerOptions {
   core::ClosureOptions closure;
   size_t cache_capacity = core::ClosureCache::kDefaultCapacity;
-  // Local store (L2). When null and the coordinator advertises a store
-  // port, a RemoteSnapshotStore is mounted instead (mount_remote_store).
+  // Local store (L2). When null, the L2 is the store the coordinator's
+  // hello offers, reached over the shard connection; a connection
+  // whose hello offers none has no L2.
   std::shared_ptr<snapshot::SnapshotStore> snapshot_store;
-  bool mount_remote_store = true;
   int io_timeout_ms = 30000;
   // Keep the L1 cache across connections (the warmed-fleet behaviour).
-  // The cache is dropped anyway when a new connection mounts a
-  // different store or schema fingerprint.
   bool persistent_cache = true;
   // Test seam: serve this many batches on a connection, then drop it
   // without kStats — a worker dying mid-audit. 0 = never.

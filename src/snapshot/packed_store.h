@@ -38,9 +38,10 @@
 // repeated Finds of one signature (e.g. the session cache and the
 // service cache sharing a store) pay one replay.
 //
-// One writer: a pack is owned by one process. Sharded audits, forked
-// or remote, reach it through the coordinator's StoreServer
-// (remote_store.h), never by opening the file themselves.
+// One writer: a pack is owned by one process. Shard workers, forked or
+// remote, reach it through store frames on their shard connections,
+// which the coordinator answers (service/tcp_shard.h), never by opening
+// the file themselves.
 #ifndef OODBSEC_SNAPSHOT_PACKED_STORE_H_
 #define OODBSEC_SNAPSHOT_PACKED_STORE_H_
 

@@ -1,5 +1,5 @@
 // Persistent closure snapshots: the record codec under every
-// SnapshotStore and the remote-store wire.
+// SnapshotStore and the shard connection's store frames.
 //
 // The paper's A(R) pipeline is deterministic end to end — unfolding a
 // root list depends only on the schema, and the F(F) fixpoint depends
@@ -14,8 +14,8 @@
 //
 // One encoding, the format-v4 record, serves every consumer: it is the
 // entry inside a pack record (packed_store.h) and the payload of the
-// remote store's find/save frames (remote_store.h). Layout (all
-// integers host-endian):
+// kStoreFound and kStoreSave frames on a shard connection
+// (service/tcp_shard.h). Layout (all integers host-endian):
 //
 //   header   "OODBSNAP" | format version u32 | byte-order marker u32
 //            | schema fingerprint u64 | payload checksum u64 (FNV-1a)

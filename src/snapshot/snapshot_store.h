@@ -8,15 +8,17 @@
 //   * PackedStore — a single packed segment with an on-disk index, an
 //     LRU page cache, and mmap in-place replay
 //     (src/snapshot/packed_store.h). The store of record.
-//   * RemoteSnapshotStore — a client of a StoreServer fronting some
-//     other store over TCP (src/snapshot/remote_store.h). This is how
-//     shard workers, forked or remote, reach the coordinator's store.
+//   * The shard worker's view of the coordinator's store — find and
+//     save as frames on its shard connection (service/tcp_shard.cc).
+//     This is how shard workers, forked or remote, reach it.
 //
 // A store is shared: one object serves the session's recheck cache, the
-// service's closure cache, and — through the coordinator's
-// StoreServer — every shard worker, so each store has exactly one
+// service's closure cache, and — through the coordinator's shard
+// connections — every shard worker, so each store has exactly one
 // writer process. Thread-safety: every operation may be called from any
-// thread; implementations synchronize internally.
+// thread; implementations synchronize internally. The worker's view is
+// the exception: it is used only from the worker's own thread, like the
+// connection it rides on.
 #ifndef OODBSEC_SNAPSHOT_SNAPSHOT_STORE_H_
 #define OODBSEC_SNAPSHOT_SNAPSHOT_STORE_H_
 

@@ -663,8 +663,8 @@ TEST(PackedShard, SharedPackParityAcrossRestart) {
   EXPECT_EQ(cold->merged_stats.snapshot_hits, 0u);
 
   // Kill the fleet: drop the store and reopen the pack cold. Every
-  // worker saved through the coordinator's store server, so the pack
-  // is the only file and holds every record.
+  // worker saved through the coordinator, so the pack is the only file
+  // and holds every record.
   options.snapshot_store.reset();
   for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(dirent.path().string(), pack) << "stray side segment";

@@ -200,28 +200,6 @@ common::Result<Socket> Listener::Accept(int timeout_ms) {
   }
 }
 
-bool ReadFullTimeout(int fd, void* buf, size_t n, int timeout_ms) {
-  char* out = static_cast<char*>(buf);
-  size_t off = 0;
-  while (off < n) {
-    ssize_t got = ::read(fd, out + off, n - off);
-    if (got > 0) {
-      off += static_cast<size_t>(got);
-      continue;
-    }
-    if (got == 0) return false;  // EOF
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
-    if (PollOne(fd, POLLIN, timeout_ms) <= 0) return false;
-  }
-  return true;
-}
-
-bool WriteFullTimeout(int fd, const void* buf, size_t n, int timeout_ms) {
-  struct iovec iov = {const_cast<void*>(buf), n};
-  return WritevFullTimeout(fd, &iov, 1, timeout_ms);
-}
-
 ssize_t Sendv(int fd, const struct iovec* iov, int iovcnt) {
   struct msghdr msg = {};
   msg.msg_iov = const_cast<struct iovec*>(iov);
@@ -229,32 +207,12 @@ ssize_t Sendv(int fd, const struct iovec* iov, int iovcnt) {
   return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
-bool WritevFullTimeout(int fd, struct iovec* iov, int iovcnt,
-                       int timeout_ms) {
-  int first = 0;
-  while (first < iovcnt) {
-    ssize_t put = Sendv(fd, iov + first, iovcnt - first);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
-      if (PollOne(fd, POLLOUT, timeout_ms) <= 0) return false;
-      continue;
-    }
-    size_t remaining = static_cast<size_t>(put);
-    while (first < iovcnt && remaining >= iov[first].iov_len) {
-      remaining -= iov[first].iov_len;
-      ++first;
-    }
-    if (first < iovcnt && remaining > 0) {
-      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + remaining;
-      iov[first].iov_len -= remaining;
-    }
-  }
-  return true;
-}
-
 int WaitReadable(int fd, int timeout_ms) {
   return PollOne(fd, POLLIN, timeout_ms);
+}
+
+int WaitWritable(int fd, int timeout_ms) {
+  return PollOne(fd, POLLOUT, timeout_ms);
 }
 
 }  // namespace oodbsec::net

@@ -1,21 +1,16 @@
 // TCP plumbing for the distributed audit: RAII sockets, bounded-retry
-// dialing, ephemeral-port listeners, and deadline-bounded exact I/O.
+// dialing, ephemeral-port listeners, one gather send, and poll()-bounded
+// waits.
 //
 // Everything here is deliberately thin POSIX — no event library, no
-// buffering policy (that lives in net/frame.h and the coordinator's
-// pump). Two properties matter and are owned here:
+// buffering policy (that lives in net/frame.h's FrameReader and
+// FrameQueue). Two properties matter and are owned here:
 //
 //   * Bounded blocking. Every operation that can stall on a peer takes
 //     a timeout in milliseconds (poll()-bounded); a hung worker shows
-//     up as a timed-out call, never as a wedged coordinator. timeout_ms
-//     <= 0 means wait forever (the worker's accept loop uses a short
-//     timeout so its stop flag is honoured).
-//   * Short-op discipline. The *FullTimeout helpers loop over partial
-//     reads/writes and EINTR under the poll bound — stream fds deliver
-//     short transfers routinely. WritevFullTimeout is the gather
-//     path: frame header and payload go out in one send from their
-//     own buffers, so a frame is never re-copied into a combined
-//     buffer just to be sent.
+//     up as a timed-out call, never as a wedged coordinator. The
+//     worker's accept loop uses a short timeout so its stop flag is
+//     honoured.
 //   * No SIGPIPE. Every write here is a send with MSG_NOSIGNAL, so a
 //     peer that died (a killed worker, a coordinator gone mid-reply)
 //     surfaces as a failed call the caller re-queues or drops, never
@@ -103,24 +98,15 @@ class Listener {
   uint16_t port_ = 0;
 };
 
-// Exact I/O with a poll() deadline per progress step. A call fails (and
-// returns false) on EOF, error, or when the fd makes no progress for
-// `timeout_ms`. Works on blocking and nonblocking fds alike.
-bool ReadFullTimeout(int fd, void* buf, size_t n, int timeout_ms);
-bool WriteFullTimeout(int fd, const void* buf, size_t n, int timeout_ms);
-
-// Gather write: drains the whole iovec array (which it may mutate to
-// track progress), looping short writes, EINTR, and the poll deadline.
-bool WritevFullTimeout(int fd, struct iovec* iov, int iovcnt,
-                       int timeout_ms);
-
 // One gather send with MSG_NOSIGNAL: sendmsg's result and errno (EPIPE
 // or ECONNRESET for a dead peer, EAGAIN when a nonblocking socket is
-// full). The nonblocking coordinator pump drains its outbox with it.
+// full). FrameQueue writes every frame with it.
 ssize_t Sendv(int fd, const struct iovec* iov, int iovcnt);
 
-// Single poll for readability. >0 readable, 0 timeout, <0 error/hup.
+// Single polls for readability and writability. >0 ready, 0 timeout,
+// <0 error.
 int WaitReadable(int fd, int timeout_ms);
+int WaitWritable(int fd, int timeout_ms);
 
 void SetNonBlocking(int fd, bool nonblocking);
 

@@ -15,11 +15,14 @@
 //     a worker finishing a batch always has the next one already in
 //     its socket buffer instead of idling a round trip plus the
 //     coordinator's service latency. The coordinator pumps every
-//     worker from one poll() loop over nonblocking sockets: a
-//     per-worker outbox of encoded frames drains through gather
-//     sends (header and payload from their own buffers — bytes are
-//     serialized exactly once), a per-worker inbox reassembles frames
-//     from whatever read() delivered.
+//     worker from one poll() loop over nonblocking sockets. Each end
+//     of a connection keeps one net::FrameQueue and one
+//     net::FrameReader (net/frame.h): the queue drains through gather
+//     sends of up to 32 frames (header and payload from their own
+//     buffers — bytes are serialized exactly once), the reader
+//     reassembles frames from whatever read() delivered, and a worker
+//     coalesces the replies to the batches it already holds into one
+//     send.
 //   * Batch coalescing. Requirements sharing a capability signature
 //     collapse into one batch (split at max_batch_requirements), so a
 //     signature's closure crosses the planning path once per worker;
@@ -46,8 +49,9 @@
 // worker that dies mid-audit (EOF, connection reset, poll error, or no
 // progress for io_timeout_ms) has its unacknowledged and unsent
 // batches re-queued to the surviving workers — a batch is acked only
-// by a complete validated kReports/kBatchError frame, so nothing is
-// double-applied and the merged report is unchanged. Only when the
+// by a complete validated kReports/kBatchError frame that carries the
+// batch's own indices, so nothing is double-applied and the merged
+// report is unchanged. Only when the
 // last worker dies does the audit fail. (Merged *stats* are
 // best-effort under death: a dead worker never sends its kStats frame,
 // so its counters are missing from merged_stats; the reports are the
